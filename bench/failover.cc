@@ -111,9 +111,8 @@ main()
         return cfg;
     };
 
-    const auto grid =
-        sweepFaultPlans(policyNames, plans, factory, opt.runner(),
-                        progress);
+    const auto grid = sweepAxis<FaultPlanAxis>(
+        policyNames, plans, factory, opt.runner(), progress);
     const std::string faultTag = plans[1].label();
 
     TableReporter table("p99 under a mid-run replica kill, by policy");
@@ -157,7 +156,7 @@ main()
     RunnerOptions serial = opt.runner();
     serial.parallelism = 1;
     const auto check =
-        sweepFaultPlans(policyNames, plans, factory, serial);
+        sweepAxis<FaultPlanAxis>(policyNames, plans, factory, serial);
     bool identical = grid.cells.size() == check.cells.size();
     for (std::size_t i = 0; identical && i < grid.cells.size(); ++i) {
         identical =

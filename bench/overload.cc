@@ -135,9 +135,8 @@ main()
         return tag.empty() ? std::string("none") : tag;
     };
 
-    const auto grid = sweepTrafficPolicies(loadLabels, policyList,
-                                           factory, opt.runner(),
-                                           progress);
+    const auto grid = sweepAxis<TrafficPolicyAxis>(
+        loadLabels, policyList, factory, opt.runner(), progress);
 
     TableReporter table("goodput (KQPS within SLO) vs offered load");
     table.header({"offered_qps", "none", "depth", "codel",
@@ -187,8 +186,8 @@ main()
     // (default-width) run above bit for bit.
     RunnerOptions serial = opt.runner();
     serial.parallelism = 1;
-    const auto check =
-        sweepTrafficPolicies(loadLabels, policyList, factory, serial);
+    const auto check = sweepAxis<TrafficPolicyAxis>(loadLabels, policyList,
+                                                    factory, serial);
     bool identical = grid.cells.size() == check.cells.size();
     for (std::size_t i = 0; identical && i < grid.cells.size(); ++i) {
         identical = grid.cells[i].result.avgPerRun ==

@@ -44,7 +44,7 @@ ExperimentConfig::forMemcached(double qps)
     cfg.gen.measure = loadgen::MeasurePoint::InApp;
     cfg.gen.interarrival = loadgen::InterarrivalKind::Exponential;
     // ETC request model: mostly GETs, GEV-sized keys.
-    const svc::EtcModel etc = cfg.memcached.etc;
+    const svc::KeyspaceModel etc = cfg.memcached.etc;
     cfg.gen.requestModel = [etc](Rng &rng, net::Message &req) {
         const svc::MemcachedOp op = etc.sampleOp(rng);
         req.kind = static_cast<std::uint8_t>(op);
@@ -146,7 +146,7 @@ applyCacheShape(ExperimentConfig &cfg, const svc::CacheShape &shape)
     // one, plus the Zipf rank on the wire; SET values are a property
     // of the key (valueBytesForKey) so the cache, the backing store
     // and the generator agree on every key's size.
-    const svc::EtcModel etc = cfg.memcached.etc;
+    const svc::KeyspaceModel etc = cfg.memcached.etc;
     const svc::ZipfSampler zipf(shape.keys, shape.skew);
     cfg.gen.requestModel = [etc, zipf](Rng &rng, net::Message &req) {
         const svc::MemcachedOp op = etc.sampleOp(rng);
@@ -315,8 +315,8 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
         serviceGraph->setTrace(trace.get());
         auto wireObs = [&sim, tr = trace.get()](const net::Message &m,
                                                 Time delay, bool) {
-            const std::uint64_t root =
-                m.parentId != 0 ? m.parentId : m.id;
+            // Client messages are root requests and their replies.
+            const std::uint64_t root = m.id;
             if (!tr->wants(root))
                 return;
             obs::SpanRecord rec;

@@ -268,9 +268,10 @@ Injector::arm(Time horizon)
                 continue;
             ++windowsArmed_;
             if (obs::TraceRecorder *tr = graph_.trace()) {
-                // The window as a global marker (rootId 0), recorded
-                // offline into domain 0 — arm() runs before the crew
-                // exists, so no slab is shared with a live domain.
+                // The window as a global marker (obs::kGlobalRoot),
+                // recorded offline into domain 0 — arm() runs before
+                // the crew exists, so no slab is shared with a live
+                // domain.
                 obs::SpanRecord rec;
                 rec.start = clamped.start;
                 rec.end = clamped.end;

@@ -246,7 +246,7 @@ TraceRecorder::exportSpans() const
     std::vector<SpanRecord> out;
     for (const DomainLog &log : logs_) {
         for (const SpanRecord &s : log.spans) {
-            if (s.rootId == 0 || sampled(s.rootId) ||
+            if (s.rootId == kGlobalRoot || sampled(s.rootId) ||
                 tail.count(s.rootId) != 0)
                 out.push_back(s);
         }

@@ -74,9 +74,18 @@ enum class SpanKind : std::uint8_t
     BreakerOpen,
     /** Admission control shed the request (instant; arg = reason). */
     Shed,
-    /** An injected fault window (global marker, rootId 0). */
+    /** An injected fault window (global marker, kGlobalRoot). */
     Fault,
 };
+
+/**
+ * Root id of global markers (fault windows, breaker transitions,
+ * cache churn): spans that belong to the run, not to a request. No
+ * request id reaches it (ids count up from 0 per generator thread),
+ * so a marker never folds into a request's breakdown, and it is
+ * always exported.
+ */
+constexpr std::uint64_t kGlobalRoot = ~std::uint64_t(0);
 
 /** @return span-kind name ("root", "sub", "queue", ...). */
 const char *toString(SpanKind k);
@@ -90,8 +99,9 @@ struct SpanRecord
     Time start = 0;
     /** == start for instant kinds. */
     Time end = 0;
-    /** Root request this span belongs to; 0 = global marker. */
-    std::uint64_t rootId = 0;
+    /** Root request this span belongs to; kGlobalRoot = global
+     *  marker. */
+    std::uint64_t rootId = kGlobalRoot;
     /** Kind-specific payload (bytes, attempt, reason, fault kind). */
     std::uint32_t arg = 0;
     SpanKind kind = SpanKind::Root;

@@ -70,7 +70,7 @@ traceCacheEvent(ServiceGraph &g, int tier, const net::Message &msg,
     obs::TraceRecorder *tr = g.trace();
     if (tr == nullptr)
         return;
-    const std::uint64_t root = msg.parentId != 0 ? msg.parentId : msg.id;
+    const std::uint64_t root = msg.parentId;
     if (!tr->wants(root))
         return;
     obs::SpanRecord rec;
@@ -335,7 +335,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                 if (!params_.cache.coldStart)
                     prewarm(caches_.back(), s);
                 caches_.back().resetCounters();
-                // Capacity churn as global markers (rootId 0): which
+                // Capacity churn as global markers (kGlobalRoot): which
                 // replica/shard evicted or was flushed, not which
                 // request triggered it. Evictions run in the cache
                 // machine's domain (workMut / store completion);

@@ -36,7 +36,7 @@ struct MemcachedParams
     std::uint32_t responseOverhead = 30;
     /** Per-run environment factor sd on service times. */
     double runVariability = 0.025;
-    EtcModel etc;
+    KeyspaceModel etc;
 
     // ---- keyed workload / finite caches (MemcachedCluster only) ----
     // Enabling the cache shape (cache.keys > 0) keys the cluster:

@@ -13,18 +13,6 @@ namespace svc {
 
 namespace {
 
-/**
- * Root request id a message carries on the entry tier and on direct
- * fan-out children (sub-requests stamp the parent's id into parentId,
- * which *is* the root one fan-out down). Deeper tiers see slot ids
- * here — their hooks are depth-gated off (see setTrace).
- */
-std::uint64_t
-localRoot(const net::Message &m)
-{
-    return m.parentId != 0 ? m.parentId : m.id;
-}
-
 /** Generic endpoint adapter: forwards delivered messages to a bound
  *  function. Replaces the per-service Port/Merge adapter structs.
  *  @p home, when given, is the machine whose event-queue domain the
@@ -265,9 +253,9 @@ void
 Tier::traceShed(const net::Message &msg, std::uint32_t reason)
 {
     obs::TraceRecorder *tr = graph_.trace();
-    if (tr == nullptr || !traceLocal_)
+    if (tr == nullptr || traceDepth_ < 0)
         return;
-    const std::uint64_t root = localRoot(msg);
+    const std::uint64_t root = traceRoot(msg);
     if (!tr->wants(root))
         return;
     obs::SpanRecord s;
@@ -470,8 +458,8 @@ Tier::dispatch(const net::Message &msgIn)
     // so their keys never collide; a twin cancelled before running
     // leaves a dangling open that export simply drops.
     if (obs::TraceRecorder *tr = graph_.trace();
-        tr != nullptr && traceLocal_) {
-        const std::uint64_t root = localRoot(msg);
+        tr != nullptr && traceDepth_ >= 0) {
+        const std::uint64_t root = traceRoot(msg);
         if (tr->wants(root)) {
             tr->begin(graph_.traceDomain(),
                       obs::TraceRecorder::OpenKey{
@@ -561,7 +549,7 @@ Tier::completeService(const net::Message &msg, Time work)
     // approximation), clamped so a zero-queue dispatch never yields
     // a negative wait.
     if (obs::TraceRecorder *tr = graph_.trace();
-        tr != nullptr && traceLocal_) {
+        tr != nullptr && traceDepth_ >= 0) {
         Time start = 0;
         std::uint64_t root = 0;
         std::uint32_t arg = 0;
@@ -640,6 +628,12 @@ Fanout::Fanout(ServiceGraph &graph, Tier &parent, Tier &child,
 {
     TPV_ASSERT(params_.shards >= 1, "fanout needs at least one shard");
     TPV_ASSERT(params_.replicas >= 1, "fanout needs at least one replica");
+    // Message::replica and Lane::replica are 8-bit (and a Tied claim
+    // stores replica + 1), Message::shard 16-bit: a wider shape would
+    // silently wrap onto replica 0 / shard 0.
+    TPV_ASSERT(params_.replicas <= 255 && params_.shards <= 65536,
+               "fanout shape exceeds the wire format (replicas <= 255, "
+               "shards <= 65536)");
     // A duplicate to the only replica would share the primary's
     // worker queue and could never win — reject the degenerate shape
     // instead of reporting meaningless hedge/tie counters.
@@ -688,27 +682,19 @@ Fanout::Fanout(ServiceGraph &graph, Tier &parent, Tier &child,
         hb.budgetBurst = 16.0;
         hedgeBudget_ = RetryBudget(hb);
     }
-    // Pre-size the context pool and warm each context's per-lane
-    // vectors, so scatter's assign() calls recycle capacity from the
-    // first query on instead of growing fresh slots as the in-flight
-    // high-water mark creeps up (bench/hotpath gates on zero
-    // steady-state allocations). The reservation leaves the slot
+    // Pre-size the context pool and warm each context's lane vector,
+    // so scatter's assign() recycles capacity from the first query on
+    // instead of growing fresh slots as the in-flight high-water mark
+    // creeps up (bench/hotpath gates on zero steady-state
+    // allocations). The reservation leaves the slot
     // acquisition sequence — and with it the sub-request ids riding
     // slot indices — bit-identical to an unreserved pool's. Loads
     // past ~256 in-flight calls (sustained overload) still grow.
     constexpr std::size_t kReservedContexts = 256;
     pool_.reserve(kReservedContexts);
     const auto lanes = static_cast<std::size_t>(laneCount());
-    for (std::size_t i = 0; i < kReservedContexts; ++i) {
-        RpcContext &c = pool_.at(static_cast<std::uint32_t>(i));
-        c.done.assign(lanes, 0);
-        c.replicaOf.assign(lanes, 0);
-        c.claimed.assign(lanes, 0);
-        c.hedges.assign(lanes, EventHandle{});
-        c.deadlines.assign(lanes, EventHandle{});
-        c.attempts.assign(lanes, 0);
-        c.dropped.assign(lanes, 0);
-    }
+    for (std::size_t i = 0; i < kReservedContexts; ++i)
+        pool_.at(static_cast<std::uint32_t>(i)).lanes.resize(lanes);
     // Child replies route through this fan-out's merge port.
     child_.setHandler([this](const net::Message &msg, Time work) {
         replyFromChild(msg, work);
@@ -750,12 +736,6 @@ Fanout::primaryFor(std::uint64_t id, int shard) const
     if (params_.pinShardToReplica)
         return shard % params_.replicas;
     return primaryReplica(id, shard, params_.replicas);
-}
-
-int
-Fanout::backupFor(std::uint64_t id, int shard) const
-{
-    return (primaryFor(id, shard) + 1) % std::max(params_.replicas, 1);
 }
 
 void
@@ -813,36 +793,24 @@ Fanout::lookup(std::uint32_t slot, std::uint64_t parentId)
 }
 
 int
-Fanout::routeLive(std::uint64_t id, int shard, std::uint64_t traceRoot)
+Fanout::routeLive(const RpcContext &call, int shard)
 {
-    const int primary = primaryFor(id, shard);
+    const int primary = primaryFor(call.request.id, shard);
     if (child_.replicaTrusted(primary)) {
-        if (breakers_.empty() || breakerAllows(primary))
+        if (breakerAllows(primary))
             return primary;
         // Open breaker on a trusted primary: prefer another trusted
         // replica whose breaker admits traffic. When every candidate
         // is blocked, send to the primary anyway — a breaker shifts
         // load, it must never self-inflict a total outage.
-        for (int i = 1; i < params_.replicas; ++i) {
-            const int r = (primary + i) % params_.replicas;
-            if (child_.replicaTrusted(r) && breakerAllows(r)) {
-                ++graph_.mutableStats().breakerSkips;
-                if (traceRoot != 0) {
-                    obs::SpanRecord s;
-                    s.start = s.end = graph_.sim().now();
-                    s.rootId = traceRoot;
-                    s.arg = static_cast<std::uint32_t>(r);
-                    s.kind = obs::SpanKind::BreakerSkip;
-                    s.tier = static_cast<std::uint8_t>(
-                        child_.tierIndex());
-                    s.shard = static_cast<std::int16_t>(shard);
-                    s.replica = static_cast<std::int16_t>(primary);
-                    graph_.trace()->record(graph_.traceDomain(), s);
-                }
-                return r;
-            }
-        }
-        return primary;
+        const int r = nextAdmitted(primary, params_.replicas - 1);
+        if (r < 0)
+            return primary;
+        ++graph_.mutableStats().breakerSkips;
+        traceSpan(call.rootId, obs::SpanKind::BreakerSkip, 0,
+                  child_.tierIndex(), shard, primary,
+                  static_cast<std::uint32_t>(r));
+        return r;
     }
     const int alive = child_.aliveReplica(primary + 1);
     if (alive >= 0) {
@@ -855,9 +823,20 @@ Fanout::routeLive(std::uint64_t id, int shard, std::uint64_t traceRoot)
 }
 
 int
+Fanout::nextAdmitted(int from, int span)
+{
+    for (int i = 1; i <= span; ++i) {
+        const int r = (from + i) % params_.replicas;
+        if (child_.replicaTrusted(r) && breakerAllows(r))
+            return r;
+    }
+    return -1;
+}
+
+int
 Fanout::liveBackup(std::uint64_t id, int shard, int primary) const
 {
-    int r = backupFor(id, shard);
+    int r = (primaryFor(id, shard) + 1) % params_.replicas;
     if (!child_.replicaTrusted(r))
         r = child_.aliveReplica(r + 1);
     return (r < 0 || r == primary) ? -1 : r;
@@ -883,24 +862,10 @@ Fanout::scatter(const net::Message &req)
     RpcContext &call = pool_.at(slot);
     const auto lanes = static_cast<std::size_t>(laneCount());
     call.request = req;
-    call.rootId = localRoot(req);
+    call.rootId = parent_.traceRoot(req);
     call.active = true;
     call.remaining = static_cast<int>(lanes);
-    call.done.assign(lanes, 0);
-    call.replicaOf.assign(lanes, 0);
-    if (policy_ == HedgePolicy::Tied)
-        call.claimed.assign(lanes, 0);
-    // Timer slots only exist when hedging can arm them, keeping the
-    // unhedged hot path free of the extra per-query bookkeeping.
-    if (timedHedging())
-        call.hedges.assign(lanes, EventHandle{});
-    // Same rule for the retry bookkeeping: the no-deadline hot path
-    // touches none of it.
-    if (retryEnabled_) {
-        call.deadlines.assign(lanes, EventHandle{});
-        call.attempts.assign(lanes, 1);
-        call.dropped.assign(lanes, 0);
-    }
+    call.lanes.assign(lanes, Lane{});
     if (params_.route) {
         const int routed = params_.route(req);
         TPV_ASSERT(routed >= 0 && routed < params_.shards,
@@ -913,52 +878,38 @@ Fanout::scatter(const net::Message &req)
     // opens here (the scatter instant) and closes on the first
     // accepted reply in onReply — both on the parent's domain.
     obs::TraceRecorder *tr = traceSubs_ ? graph_.trace() : nullptr;
-    const std::uint64_t traceRoot =
-        tr != nullptr && tr->wants(call.rootId) ? call.rootId : 0;
+    const bool traced = tr != nullptr && tr->wants(call.rootId);
 
     const Time hedgeDelay = timedHedging() ? currentHedgeDelay() : 0;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
         const int shard = laneToShard(call, static_cast<int>(lane));
-        const int replica = routeLive(req.id, shard, traceRoot);
+        const int replica = routeLive(call, shard);
         if (replica < 0) {
             // Every replica is down: nothing was sent, the request
             // is lost. Close the lane so a later crash notification
             // cannot mistake it for an outstanding sub-request and
             // resurrect an already-lost lane.
             graph_.countLost(child_.tierIndex());
-            call.done[lane] = 1;
+            call.lanes[lane].done = 1;
             continue;
         }
-        call.replicaOf[lane] = static_cast<std::uint8_t>(replica);
-        if (traceRoot != 0) {
+        if (traced) {
             tr->begin(graph_.traceDomain(),
                       obs::TraceRecorder::OpenKey{
                           slot, req.id, obs::SpanKind::SubRequest,
                           static_cast<std::uint8_t>(child_.tierIndex()),
                           static_cast<std::int16_t>(shard), -1},
-                      graph_.sim().now(), traceRoot, 0);
+                      graph_.sim().now(), call.rootId, 0);
         }
-        ++graph_.mutableStats().subRequestsSent;
-        const bool tiedCopies = policy_ == HedgePolicy::Tied;
-        toChild_.send(makeSub(req, slot, shard, replica, tiedCopies),
-                      child_);
-        if (retryEnabled_) {
-            budget_.earn();
-            armDeadline(call, lane, slot, req.id, shard);
-        }
-        if (hedgeBudgetEnabled_)
-            hedgeBudget_.earn();
-        if (tiedCopies) {
+        issue(call, slot, lane, shard, replica, Attempt::Primary);
+        if (policy_ == HedgePolicy::Tied) {
             // The tied twin goes to the next replica immediately;
             // whichever copy starts first claims the request.
             const int twin = liveBackup(req.id, shard, replica);
-            if (twin >= 0) {
-                ++graph_.mutableStats().tiedSent;
-                toChild_.send(makeSub(req, slot, shard, twin, true),
-                              child_);
-            }
+            if (twin >= 0)
+                issue(call, slot, lane, shard, twin, Attempt::Twin);
         } else if (hedgeDelay > 0) {
-            call.hedges[lane] = graph_.sim().schedule(
+            call.lanes[lane].hedge = graph_.sim().schedule(
                 hedgeDelay,
                 [this, id = req.id, slot, shard] {
                     fireHedge(slot, id, shard);
@@ -967,16 +918,103 @@ Fanout::scatter(const net::Message &req)
     }
 }
 
+namespace {
+
+/** What each Fanout attempt kind does (the class comment's table),
+ *  indexed by Fanout::Attempt. */
+struct AttemptRule
+{
+    std::uint64_t ServiceStats::*counter;
+    /** The copy becomes the lane's assigned replica. */
+    bool moves;
+    /** Counts as an attempt and arms the deadline (retries on). */
+    bool timed;
+    /** May race the lane's earlier copies (see reissues_). */
+    bool reissue;
+};
+
+constexpr AttemptRule kAttemptRules[] = {
+    {&ServiceStats::subRequestsSent, true, true, false},
+    {&ServiceStats::tiedSent, false, false, false},
+    {&ServiceStats::hedgesSent, false, false, false},
+    {&ServiceStats::requestsRetried, true, true, true},
+    {&ServiceStats::requestsFailedOver, true, false, true},
+};
+
+} // namespace
+
+void
+Fanout::issue(RpcContext &call, std::uint32_t slot, std::size_t lane,
+              int shard, int replica, Attempt kind)
+{
+    const AttemptRule &rule = kAttemptRules[static_cast<int>(kind)];
+    Lane &l = call.lanes[lane];
+    ++(graph_.mutableStats().*rule.counter);
+    if (rule.moves) {
+        l.replica = static_cast<std::uint8_t>(replica);
+        l.dropped = 0;
+    }
+    if (rule.timed)
+        ++l.attempts;
+    if (rule.reissue)
+        ++reissues_;
+    if (kind == Attempt::Primary) {
+        if (retryEnabled_)
+            budget_.earn();
+        if (hedgeBudgetEnabled_)
+            hedgeBudget_.earn();
+    } else if (kind == Attempt::Hedge) {
+        traceSpan(call.rootId, obs::SpanKind::Hedge, 0,
+                  child_.tierIndex(), shard, replica, 0);
+    } else if (kind == Attempt::Retry) {
+        traceSpan(call.rootId, obs::SpanKind::Retry, 0,
+                  child_.tierIndex(), shard, replica, l.attempts);
+    }
+    const bool tied = kind == Attempt::Twin ||
+                      (kind == Attempt::Primary &&
+                       policy_ == HedgePolicy::Tied);
+    toChild_.send(makeSub(call.request, slot, shard, replica, tied),
+                  child_);
+    if (rule.timed && retryEnabled_) {
+        l.deadline = graph_.sim().schedule(
+            traffic_.retry.deadline,
+            [this, parentId = call.request.id, slot, shard] {
+                fireRetry(slot, parentId, shard);
+            });
+    }
+}
+
+void
+Fanout::traceSpan(std::uint64_t root, obs::SpanKind kind, Time dur,
+                  int tier, int shard, int replica, std::uint32_t arg)
+{
+    // Request spans need a resolvable (traceSubs_) and wanted root;
+    // global markers are always recorded.
+    obs::TraceRecorder *tr = graph_.trace();
+    if (tr == nullptr || (root != obs::kGlobalRoot &&
+                          (!traceSubs_ || !tr->wants(root))))
+        return;
+    obs::SpanRecord s;
+    s.start = graph_.sim().now();
+    s.end = s.start + dur;
+    s.rootId = root;
+    s.arg = arg;
+    s.kind = kind;
+    s.tier = static_cast<std::uint8_t>(tier);
+    s.shard = static_cast<std::int16_t>(shard);
+    s.replica = static_cast<std::int16_t>(replica);
+    tr->record(graph_.traceDomain(), s);
+}
+
 void
 Fanout::fireHedge(std::uint32_t slot, std::uint64_t parentId, int shard)
 {
     RpcContext *call = lookup(slot, parentId);
-    if (call == nullptr ||
-        call->done[static_cast<std::size_t>(shardToLane(shard))])
-        return; // the shard answered between arming and firing
     const auto lane = static_cast<std::size_t>(shardToLane(shard));
+    if (call == nullptr || call->lanes[lane].done)
+        return; // the shard answered between arming and firing
     const int replica =
-        liveBackup(parentId, shard, call->replicaOf[lane]);
+        liveBackup(parentId, shard, call->lanes[lane].replica);
     if (replica < 0)
         return; // no live backup distinct from the primary: useless
     if (hedgeBudgetEnabled_ && !hedgeBudget_.tryAcquire()) {
@@ -984,31 +1022,7 @@ Fanout::fireHedge(std::uint32_t slot, std::uint64_t parentId, int shard)
         ++graph_.mutableStats().hedgesSuppressed;
         return;
     }
-    ++graph_.mutableStats().hedgesSent;
-    if (obs::TraceRecorder *tr = traceSubs_ ? graph_.trace() : nullptr;
-        tr != nullptr && tr->wants(call->rootId)) {
-        obs::SpanRecord s;
-        s.start = s.end = graph_.sim().now();
-        s.rootId = call->rootId;
-        s.kind = obs::SpanKind::Hedge;
-        s.tier = static_cast<std::uint8_t>(child_.tierIndex());
-        s.shard = static_cast<std::int16_t>(shard);
-        s.replica = static_cast<std::int16_t>(replica);
-        tr->record(graph_.traceDomain(), s);
-    }
-    toChild_.send(makeSub(call->request, slot, shard, replica, false),
-                  child_);
-}
-
-void
-Fanout::armDeadline(RpcContext &call, std::size_t lane,
-                    std::uint32_t slot, std::uint64_t parentId,
-                    int shard)
-{
-    call.deadlines[lane] = graph_.sim().schedule(
-        traffic_.retry.deadline, [this, parentId, slot, shard] {
-            fireRetry(slot, parentId, shard);
-        });
+    issue(*call, slot, lane, shard, replica, Attempt::Hedge);
 }
 
 void
@@ -1018,20 +1032,20 @@ Fanout::fireRetry(std::uint32_t slot, std::uint64_t parentId, int shard)
     if (call == nullptr)
         return; // the whole request completed and retired
     const auto lane = static_cast<std::size_t>(shardToLane(shard));
-    if (call->done[lane])
+    Lane &l = call->lanes[lane];
+    if (l.done)
         return; // a reply beat the deadline after all
     // The attempt timed out: that is failure evidence against the
     // replica it was assigned to, whether the copy died in a crash,
     // was shed, or is merely stuck in queue.
-    noteBreakerFailure(call->replicaOf[lane]);
-    ServiceStats &stats = graph_.mutableStats();
-    if (call->attempts[lane] >= traffic_.retry.maxAttempts ||
+    noteBreakerFailure(l.replica);
+    if (l.attempts >= traffic_.retry.maxAttempts ||
         !budget_.tryAcquire()) {
-        ++stats.retriesSuppressed;
-        if (call->dropped[lane]) {
+        ++graph_.mutableStats().retriesSuppressed;
+        if (l.dropped) {
             // The in-flight copy is known fault-dropped and no retry
             // will replace it: the loss is now terminal.
-            call->dropped[lane] = 0;
+            l.dropped = 0;
             graph_.countLost(child_.tierIndex());
         }
         return;
@@ -1039,39 +1053,9 @@ Fanout::fireRetry(std::uint32_t slot, std::uint64_t parentId, int shard)
     // Retry target: the next trusted replica (breaker permitting)
     // after the one that timed out, the same replica when it is the
     // only candidate left (it may have restarted by now).
-    const int current = call->replicaOf[lane];
-    int target = current;
-    for (int i = 1; i <= params_.replicas; ++i) {
-        const int r = (current + i) % params_.replicas;
-        if (!child_.replicaTrusted(r))
-            continue;
-        if (!breakers_.empty() && !breakerAllows(r))
-            continue;
-        target = r;
-        break;
-    }
-    ++call->attempts[lane];
-    call->dropped[lane] = 0;
-    call->replicaOf[lane] = static_cast<std::uint8_t>(target);
-    ++stats.requestsRetried;
-    if (obs::TraceRecorder *tr = traceSubs_ ? graph_.trace() : nullptr;
-        tr != nullptr && tr->wants(call->rootId)) {
-        obs::SpanRecord s;
-        s.start = s.end = graph_.sim().now();
-        s.rootId = call->rootId;
-        s.arg = call->attempts[lane];
-        s.kind = obs::SpanKind::Retry;
-        s.tier = static_cast<std::uint8_t>(child_.tierIndex());
-        s.shard = static_cast<std::int16_t>(shard);
-        s.replica = static_cast<std::int16_t>(target);
-        tr->record(graph_.traceDomain(), s);
-    }
-    // A retry racing its own original can produce a duplicate reply:
-    // reissues_ legalises it for the duplicate-discard assertion.
-    ++reissues_;
-    toChild_.send(makeSub(call->request, slot, shard, target, false),
-                  child_);
-    armDeadline(*call, lane, slot, parentId, shard);
+    const int next = nextAdmitted(l.replica, params_.replicas);
+    issue(*call, slot, lane, shard, next >= 0 ? next : l.replica,
+          Attempt::Retry);
 }
 
 bool
@@ -1083,19 +1067,19 @@ Fanout::absorbLoss(const net::Message &msg)
         lookup(static_cast<std::uint32_t>(msg.id), msg.parentId);
     if (call == nullptr)
         return false;
-    const auto lane = static_cast<std::size_t>(shardToLane(msg.shard));
-    if (call->done[lane]) {
+    Lane &l = call->lanes[static_cast<std::size_t>(shardToLane(msg.shard))];
+    if (l.done) {
         // A loser copy (hedge, tied twin, stale retry) died with the
         // fault after the lane was already served: nothing the client
         // cares about was lost.
         ++graph_.mutableStats().subRequestsDropped;
         return true;
     }
-    if (!graph_.sim().pending(call->deadlines[lane]))
+    if (!graph_.sim().pending(l.deadline))
         return false;
     // A deadline timer covers this lane: the coming fireRetry() (or
     // its suppression) decides whether the loss becomes terminal.
-    call->dropped[lane] = 1;
+    l.dropped = 1;
     ++graph_.mutableStats().subRequestsDropped;
     return true;
 }
@@ -1103,6 +1087,8 @@ Fanout::absorbLoss(const net::Message &msg)
 bool
 Fanout::breakerAllows(int replica)
 {
+    if (breakers_.empty())
+        return true;
     CircuitBreaker &br = breakers_[static_cast<std::size_t>(replica)];
     const auto before = br.state();
     const bool ok = br.allow(graph_.sim().now());
@@ -1140,28 +1126,29 @@ Fanout::admitTied(std::uint32_t token, std::uint64_t parentId,
 {
     RpcContext *call = lookup(token, parentId);
     const auto lane = static_cast<std::size_t>(shardToLane(shard));
-    if (call == nullptr || call->done[lane] ||
-        call->claimed[lane] != 0) {
+    if (call == nullptr || call->lanes[lane].done ||
+        call->lanes[lane].claimed != 0) {
         // The twin already claimed (or the call retired): this copy
         // is cancelled before any service work ran.
         ++graph_.mutableStats().tiedCancelledBeforeRun;
         return false;
     }
-    call->claimed[lane] = static_cast<std::uint8_t>(replica + 1);
+    call->lanes[lane].claimed = static_cast<std::uint8_t>(replica + 1);
     return true;
 }
 
 void
 Fanout::onReplicaDown(int replica)
 {
+    const auto down = static_cast<std::uint8_t>(replica);
     for (std::uint32_t slot = 0;
          slot < static_cast<std::uint32_t>(pool_.capacity()); ++slot) {
         RpcContext &call = pool_.at(slot);
         if (!call.active)
             continue;
-        const auto lanes = static_cast<std::size_t>(laneCount());
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-            if (call.done[lane])
+        for (std::size_t lane = 0; lane < call.lanes.size(); ++lane) {
+            Lane &l = call.lanes[lane];
+            if (l.done)
                 continue;
             bool affected;
             if (policy_ == HedgePolicy::Tied) {
@@ -1174,30 +1161,24 @@ Fanout::onReplicaDown(int replica)
                 // (every backup suspected), the re-issue is the only
                 // copy left, and otherwise the duplicate is
                 // discarded by first-reply-wins.
-                const auto claimer = call.claimed[lane];
-                affected =
-                    claimer == static_cast<std::uint8_t>(replica + 1) ||
-                    (claimer == 0 &&
-                     call.replicaOf[lane] ==
-                         static_cast<std::uint8_t>(replica));
-                if (claimer == static_cast<std::uint8_t>(replica + 1))
-                    call.claimed[lane] = 0; // reopen the claim
+                const auto claimer = l.claimed;
+                affected = claimer == down + 1 ||
+                           (claimer == 0 && l.replica == down);
+                if (claimer == down + 1)
+                    l.claimed = 0; // reopen the claim
             } else {
-                affected = call.replicaOf[lane] ==
-                           static_cast<std::uint8_t>(replica);
+                affected = l.replica == down;
             }
             if (!affected)
                 continue;
-            const int shard = laneToShard(call, static_cast<int>(lane));
             const int target = child_.aliveReplica(replica + 1);
             if (target < 0) {
                 // No trusted replica to re-issue to. A pending
                 // deadline timer still covers the lane — its retry
                 // (to a possibly-restarted replica) or suppression
                 // decides the loss; otherwise it is terminal now.
-                if (retryEnabled_ &&
-                    graph_.sim().pending(call.deadlines[lane])) {
-                    call.dropped[lane] = 1;
+                if (retryEnabled_ && graph_.sim().pending(l.deadline)) {
+                    l.dropped = 1;
                     ++graph_.mutableStats().subRequestsDropped;
                 } else {
                     graph_.countLost(child_.tierIndex());
@@ -1208,14 +1189,9 @@ Fanout::onReplicaDown(int replica)
             // a live replica. A duplicate reply (the dead replica's
             // work resurfacing after a restart, or a racing hedge)
             // is discarded by the usual first-reply-wins rule.
-            call.replicaOf[lane] = static_cast<std::uint8_t>(target);
-            if (retryEnabled_)
-                call.dropped[lane] = 0;
-            ++graph_.mutableStats().requestsFailedOver;
-            ++reissues_;
-            toChild_.send(makeSub(call.request, slot, shard, target,
-                                  false),
-                          child_);
+            issue(call, slot, lane,
+                  laneToShard(call, static_cast<int>(lane)), target,
+                  Attempt::Failover);
         }
     }
 }
@@ -1238,7 +1214,7 @@ Fanout::onReply(const net::Message &reply)
     const auto slot = static_cast<std::uint32_t>(reply.id);
     RpcContext *callp = lookup(slot, reply.parentId);
     const auto lane = static_cast<std::size_t>(shardToLane(reply.shard));
-    if (callp == nullptr || callp->done[lane]) {
+    if (callp == nullptr || callp->lanes[lane].done) {
         // A duplicate: another replica already answered this lane (or
         // the whole call retired) — a hedged/tied loser or a
         // failover re-issue racing the original. Account the wasted
@@ -1252,11 +1228,12 @@ Fanout::onReply(const net::Message &reply)
         return;
     }
     RpcContext &call = *callp;
-    call.done[lane] = 1;
-    if (timedHedging() && graph_.sim().cancel(call.hedges[lane]))
+    Lane &l = call.lanes[lane];
+    l.done = 1;
+    if (timedHedging() && graph_.sim().cancel(l.hedge))
         ++graph_.mutableStats().hedgesCancelled;
     if (retryEnabled_)
-        graph_.sim().cancel(call.deadlines[lane]);
+        graph_.sim().cancel(l.deadline);
     if (!breakers_.empty()) {
         noteBreakerSuccess(reply.replica,
                            graph_.sim().now() - reply.appSendTime);
@@ -1327,25 +1304,16 @@ Fanout::finish(const net::Message &req)
 void
 Fanout::installTrace(int parentDepth)
 {
-    const auto childTier = static_cast<std::uint8_t>(child_.tierIndex());
-    // Breaker transitions are run-level markers (rootId 0, always
+    // Breaker transitions are run-level markers (kGlobalRoot, always
     // exported) and need no root resolution: install at any depth.
     // The observer runs wherever the breaker is driven — always the
     // parent's domain (scatter, retry timers, merge replies).
     for (std::size_t r = 0; r < breakers_.size(); ++r) {
-        breakers_[r].setObserver(
-            [this, childTier, r](CircuitBreaker::State st) {
-                obs::TraceRecorder *tr = graph_.trace();
-                if (tr == nullptr)
-                    return;
-                obs::SpanRecord s;
-                s.start = s.end = graph_.sim().now();
-                s.arg = static_cast<std::uint32_t>(st);
-                s.kind = obs::SpanKind::BreakerOpen;
-                s.tier = childTier;
-                s.replica = static_cast<std::int16_t>(r);
-                tr->record(graph_.traceDomain(), s);
-            });
+        breakers_[r].setObserver([this, r](CircuitBreaker::State st) {
+            traceSpan(obs::kGlobalRoot, obs::SpanKind::BreakerOpen, 0,
+                      child_.tierIndex(), -1, static_cast<int>(r),
+                      static_cast<std::uint32_t>(st));
+        });
     }
     // Sub-request/hedge/retry spans and wire spans need the root id.
     // Down-link sends resolve it through this fan-out's context pool
@@ -1355,54 +1323,25 @@ Fanout::installTrace(int parentDepth)
     traceSubs_ = parentDepth <= 1;
     if (!traceSubs_)
         return;
-    toChild_.setObserver([this, childTier](const net::Message &m,
-                                           Time delay, bool) {
-        obs::TraceRecorder *tr = graph_.trace();
-        if (tr == nullptr)
-            return;
-        const RpcContext *c =
-            lookup(static_cast<std::uint32_t>(m.id), m.parentId);
-        const std::uint64_t root =
-            c != nullptr ? c->rootId : localRoot(m);
-        if (!tr->wants(root))
-            return;
-        obs::SpanRecord s;
-        s.start = graph_.sim().now();
-        s.end = s.start + delay;
-        s.rootId = root;
-        s.arg = m.bytes;
-        s.kind = obs::SpanKind::Wire;
-        s.tier = childTier;
-        s.shard = static_cast<std::int16_t>(m.shard);
-        s.replica = static_cast<std::int16_t>(m.replica);
-        tr->record(graph_.traceDomain(), s);
+    toChild_.setObserver([this](const net::Message &m, Time delay, bool) {
+        // Every send happens while its context is live.
+        if (const RpcContext *c =
+                lookup(static_cast<std::uint32_t>(m.id), m.parentId)) {
+            traceSpan(c->rootId, obs::SpanKind::Wire, delay,
+                      child_.tierIndex(), m.shard, m.replica, m.bytes);
+        }
     });
     // Up-link replies echo the sub-request (parentId = the parent's
     // request id), which is the root only when the parent is the
     // entry tier; the sender is a child replica's domain, where the
     // context pool must not be read — so depth 0 edges only.
     if (parentDepth == 0) {
-        const auto parentTier =
-            static_cast<std::uint8_t>(parent_.tierIndex());
         for (net::Link *l : toParent_) {
-            l->setObserver([this, parentTier](const net::Message &m,
-                                              Time delay, bool) {
-                obs::TraceRecorder *tr = graph_.trace();
-                if (tr == nullptr)
-                    return;
-                const std::uint64_t root = localRoot(m);
-                if (!tr->wants(root))
-                    return;
-                obs::SpanRecord s;
-                s.start = graph_.sim().now();
-                s.end = s.start + delay;
-                s.rootId = root;
-                s.arg = m.bytes;
-                s.kind = obs::SpanKind::Wire;
-                s.tier = parentTier;
-                s.shard = static_cast<std::int16_t>(m.shard);
-                s.replica = static_cast<std::int16_t>(m.replica);
-                tr->record(graph_.traceDomain(), s);
+            l->setObserver([this](const net::Message &m, Time delay,
+                                  bool) {
+                traceSpan(m.parentId, obs::SpanKind::Wire, delay,
+                          parent_.tierIndex(), m.shard, m.replica,
+                          m.bytes);
             });
         }
     }
@@ -1903,7 +1842,7 @@ ServiceGraph::setTrace(obs::TraceRecorder *recorder)
         return;
     // Fan-out depth below the entry tier: 0 = entry, 1 = a direct
     // fan-out child. Messages on depth <= 1 tiers carry the root
-    // request id in (parentId ? parentId : id); deeper tiers carry a
+    // request id (in id resp. parentId); deeper tiers carry a
     // fan-out slot id there, and resolving it would mean reading
     // another domain's context pool — so their per-dispatch hooks
     // stay off (depth-gated), keeping partitioned tracing race-free
@@ -1922,9 +1861,10 @@ ServiceGraph::setTrace(obs::TraceRecorder *recorder)
                 cd = std::min(cd, pd + 1);
         }
     }
-    for (auto &t : tiers_)
-        t->traceLocal_ =
-            depth[static_cast<std::size_t>(t->tierIndex())] <= 1;
+    for (auto &t : tiers_) {
+        const int d = depth[static_cast<std::size_t>(t->tierIndex())];
+        t->traceDepth_ = d <= 1 ? d : -1;
+    }
     for (auto &f : fanouts_)
         f->installTrace(
             depth[static_cast<std::size_t>(f->parent().tierIndex())]);

@@ -52,6 +52,7 @@ namespace tpv {
 namespace obs {
 class MetricsRegistry;
 class TraceRecorder;
+enum class SpanKind : std::uint8_t;
 } // namespace obs
 
 namespace svc {
@@ -431,6 +432,7 @@ class Tier : public net::Endpoint
 
   private:
     friend class ServiceGraph;
+    friend class Fanout;
 
     struct Instance
     {
@@ -522,15 +524,23 @@ class Tier : public net::Endpoint
     TieArbiter tieArbiter_;
     /** Set by ServiceGraph::addTier / addReplicatedTier. */
     int tierIndex_ = 0;
+    /** Root request id of @p msg on this tier (see traceDepth_). */
+    std::uint64_t
+    traceRoot(const net::Message &msg) const
+    {
+        return traceDepth_ == 0 ? msg.id : msg.parentId;
+    }
+
     /**
-     * Flight recorder: messages on this tier carry the root request
-     * id in (parentId ? parentId : id) — true for the entry tier and
-     * direct fan-out children — so per-dispatch spans can be rooted.
-     * Deeper tiers see fan-out slot ids there; their dispatch spans
-     * are skipped (the lane's sub-request span still covers them).
-     * Set by ServiceGraph::setTrace.
+     * Flight recorder: fan-out depth below the entry tier when this
+     * tier's messages carry the root request id — 0 for the entry
+     * tier (in id), 1 for a direct fan-out child (in parentId) — so
+     * per-dispatch spans can be rooted. -1 for deeper tiers, which see
+     * fan-out slot ids there; their dispatch spans are skipped (the
+     * lane's sub-request span still covers them). Set by
+     * ServiceGraph::setTrace.
      */
-    bool traceLocal_ = false;
+    int traceDepth_ = -1;
 };
 
 /** Tunables of one scatter-gather fan-out edge. */
@@ -599,6 +609,23 @@ struct FanoutParams
  * and arms a hedge timer per shard when hedging is enabled; replies
  * merge on the parent's worker pool, and the parent completion
  * callback fires after the last shard's post-work.
+ *
+ * Every copy of a sub-request leaves through one send path, issue().
+ * The timers and the crash hook (fireHedge, fireRetry, onReplicaDown)
+ * only decide whether and where to send; the attempt kind does the
+ * rest ("moves" = becomes the lane's assigned replica, the one
+ * deadlines, breakers and crash notices charge):
+ *
+ * | kind     | counter            | moves | deadline   | instant |
+ * |----------|--------------------|-------|------------|---------|
+ * | Primary  | subRequestsSent    | yes   | if retries | -       |
+ * | Twin     | tiedSent           | no    | no         | -       |
+ * | Hedge    | hedgesSent         | no    | no         | Hedge   |
+ * | Retry    | requestsRetried    | yes   | yes        | Retry   |
+ * | Failover | requestsFailedOver | yes   | no         | -       |
+ *
+ * Retry and failover copies also count a reissue, which legalises
+ * the duplicate reply they may race.
  */
 class Fanout
 {
@@ -686,6 +713,26 @@ class Fanout
   private:
     friend class ServiceGraph;
 
+    /** One shard lane of a call. */
+    struct Lane
+    {
+        /** Hedge timer (Fixed / Adaptive). */
+        EventHandle hedge;
+        /** Per-attempt deadline timer (retries on). */
+        EventHandle deadline;
+        /** First reply accepted (later ones are losers). */
+        std::uint8_t done = 0;
+        /** Tied: 0 = unclaimed, else claiming replica + 1. */
+        std::uint8_t claimed = 0;
+        /** Assigned replica (see the attempt table). */
+        std::uint8_t replica = 0;
+        /** Primary and retry copies issued (retries on). */
+        std::uint8_t attempts = 0;
+        /** The in-flight copy is known fault-dropped; a suppressed
+         *  retry turns this into a terminal loss. */
+        std::uint8_t dropped = 0;
+    };
+
     struct RpcContext
     {
         net::Message request;
@@ -701,22 +748,12 @@ class Fanout
         int remaining = 0;
         /** Route-one target shard (single-lane contexts). */
         std::uint16_t routedShard = 0;
-        /** Per lane: first reply accepted (later ones are losers). */
-        std::vector<std::uint8_t> done;
-        /** Per lane (Tied): 0 = unclaimed, else claiming replica+1. */
-        std::vector<std::uint8_t> claimed;
-        /** Per lane: replica currently assigned the primary copy. */
-        std::vector<std::uint8_t> replicaOf;
-        /** Per lane: armed hedge timer. */
-        std::vector<EventHandle> hedges;
-        /** Per lane: armed per-attempt deadline timer (retries on). */
-        std::vector<EventHandle> deadlines;
-        /** Per lane: attempts issued so far (retries on). */
-        std::vector<std::uint8_t> attempts;
-        /** Per lane: the in-flight copy is known fault-dropped; a
-         *  suppressed retry turns this into a terminal loss. */
-        std::vector<std::uint8_t> dropped;
+        std::vector<Lane> lanes;
     };
+
+    /** What a sub-request copy is (the class comment's table). */
+    enum class Attempt : std::uint8_t { Primary, Twin, Hedge, Retry,
+                                        Failover };
 
     /** Lanes per context: 1 when routing, shards when scattering. */
     int laneCount() const { return params_.route ? 1 : params_.shards; }
@@ -743,40 +780,49 @@ class Fanout
      *  (pinned shard -> replica, or the rotating default). */
     int primaryFor(std::uint64_t id, int shard) const;
 
-    /** Replica a duplicate (hedge / tied twin) of (id, shard) goes
-     *  to before liveness detours. */
-    int backupFor(std::uint64_t id, int shard) const;
-
     /**
-     * Replica to send (req, shard)'s primary copy to, routing around
-     * dead replicas (counts requestsFailedOver on a detour).
-     * @p traceRoot, when non-zero, is the call's root request id and
-     * enables the flight recorder's breaker-skip instants.
+     * Replica to send @p call's primary copy for @p shard to, routing
+     * around dead replicas (counts requestsFailedOver on a detour) and
+     * open breakers (counts breakerSkips).
      * @return -1 when the whole child tier is down.
      */
-    int routeLive(std::uint64_t id, int shard,
-                  std::uint64_t traceRoot = 0);
+    int routeLive(const RpcContext &call, int shard);
 
     /**
-     * Backup replica for a duplicate of (id, shard): the hedge
-     * target, detoured to the next trusted replica when it is
-     * suspected. @return -1 when no trusted replica distinct from
-     * @p primary exists (a duplicate there could never win).
+     * First of the @p span replicas after @p from (wrapping) that is
+     * trusted and whose breaker admits traffic; -1 when none is.
+     * Consults breakers only for trusted candidates (admitting a
+     * half-open probe has side effects).
+     */
+    int nextAdmitted(int from, int span);
+
+    /**
+     * Backup replica for a duplicate (hedge / tied twin) of
+     * (id, shard): the replica after the primary, detoured to the
+     * next trusted replica when it is suspected. @return -1 when no
+     * trusted replica distinct from @p primary exists (a duplicate
+     * there could never win).
      */
     int liveBackup(std::uint64_t id, int shard, int primary) const;
 
     net::Message makeSub(const net::Message &req, std::uint32_t slot,
                          int shard, int replica, bool tied) const;
+
+    /** Send a @p kind copy of @p call's lane to @p replica (the one
+     *  send site; see the class comment for what @p kind selects). */
+    void issue(RpcContext &call, std::uint32_t slot, std::size_t lane,
+               int shard, int replica, Attempt kind);
+
+    /** Flight recorder: a @p kind span of @p root from now to now +
+     *  @p dur (0 = an instant), unless tracing skips the root. */
+    void traceSpan(std::uint64_t root, obs::SpanKind kind, Time dur,
+                   int tier, int shard, int replica, std::uint32_t arg);
+
     void fireHedge(std::uint32_t slot, std::uint64_t parentId, int shard);
 
     /** Per-attempt deadline expired on (slot, shard): re-issue the
      *  sub-request if the attempt cap and retry budget allow. */
     void fireRetry(std::uint32_t slot, std::uint64_t parentId, int shard);
-
-    /** Arm the per-attempt deadline timer of (slot, lane). */
-    void armDeadline(RpcContext &call, std::size_t lane,
-                     std::uint32_t slot, std::uint64_t parentId,
-                     int shard);
 
     /** Breaker gate for @p replica (true when breakers are off).
      *  Counts half-open probes it admits. */
@@ -833,7 +879,8 @@ class Fanout
     SlotPool<RpcContext> pool_;
     /** Streaming p95 of sub-request round-trips (Adaptive's input). */
     stats::StreamingQuantile replyP95_;
-    /** Failover re-issues performed (legalises duplicate replies). */
+    /** Retry and failover sends, failover detours of primaries
+     *  included (legalises duplicate replies). */
     std::uint64_t reissues_ = 0;
     /** Traffic-management knobs of this edge (copied from params). */
     TrafficPolicy traffic_{};

@@ -1,6 +1,6 @@
 /** @file End-to-end keyed cache runs through the study layer:
  *  serial-vs-parallel bit-identical grids, hit/miss plumbing into
- *  ServiceStats, and the sweepCacheShapes cell labels. */
+ *  ServiceStats, and the cache-axis cell labels. */
 
 #include "core/study.hh"
 
@@ -36,7 +36,7 @@ quickKeyedConfig(double qps)
     return cfg;
 }
 
-CacheConfigFactory
+auto
 quickFactory()
 {
     return [](const std::string &label, const svc::CacheShape &) {
@@ -120,9 +120,9 @@ TEST(CacheGrid, SerialAndParallelCacheGridsAreIdentical)
     parallel.parallelism = 4;
 
     const auto a =
-        sweepCacheShapes(configs, shapes, quickFactory(), serial);
+        sweepAxis<CacheAxis>(configs, shapes, quickFactory(), serial);
     const auto b =
-        sweepCacheShapes(configs, shapes, quickFactory(), parallel);
+        sweepAxis<CacheAxis>(configs, shapes, quickFactory(), parallel);
     ASSERT_EQ(a.cells.size(), b.cells.size());
     for (std::size_t c = 0; c < a.cells.size(); ++c) {
         const StudyCell &ca = a.cells[c];
@@ -153,7 +153,7 @@ TEST(CacheGrid, SweepLabelsNameTheShapes)
         cacheShape(1 << 16, 1 << 12),
     };
     const auto grid =
-        sweepCacheShapes({"HP"}, shapes, quickFactory(), opt);
+        sweepAxis<CacheAxis>({"HP"}, shapes, quickFactory(), opt);
     EXPECT_EQ(grid.configs(),
               (std::vector<std::string>{"HP/nocache",
                                         "HP/z0.99k64Kc4K-lru"}));

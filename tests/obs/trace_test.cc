@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "obs/metrics.hh"
@@ -175,6 +176,54 @@ TEST(TraceDeterminism, SamplingReducesRecordingTailKeepsSlowest)
         EXPECT_LE(latency, prev); // slowest first
         prev = latency;
     }
+}
+
+// The first request of every run has id 0. It is an ordinary root:
+// fully traced at full sampling, and filtered like any other root
+// when it is neither head-sampled nor in the tail — global markers
+// live under obs::kGlobalRoot, not under request 0.
+TEST(TraceDeterminism, RequestZeroIsAnOrdinaryRoot)
+{
+    core::ExperimentConfig cfg = tracedConfig();
+    cfg.obs.trace = true;
+    std::vector<obs::SpanRecord> spans;
+    cfg.obs.sink = [&spans](const obs::TraceRecorder *tr,
+                            const obs::MetricsRegistry *) {
+        spans = tr->exportSpans();
+    };
+    core::runOnce(cfg);
+    int roots = 0;
+    int subs = 0;
+    int services = 0;
+    for (const obs::SpanRecord &s : spans) {
+        if (s.rootId != 0)
+            continue;
+        roots += s.kind == obs::SpanKind::Root ? 1 : 0;
+        subs += s.kind == obs::SpanKind::SubRequest ? 1 : 0;
+        services += s.kind == obs::SpanKind::Service ? 1 : 0;
+    }
+    EXPECT_EQ(roots, 1);
+    EXPECT_EQ(subs, 4); // one per shard of s4r2
+    // The midtier's dispatch plus one per shard on the buckets (whose
+    // messages carry request 0 in parentId, not the slot in id).
+    EXPECT_GE(services, 5);
+
+    cfg.obs.sampleEveryN = 64;
+    cfg.obs.tailN = 4;
+    cfg.obs.sink = [&spans](const obs::TraceRecorder *tr,
+                            const obs::MetricsRegistry *) {
+        ASSERT_FALSE(tr->sampled(0));
+        for (const auto &t : tr->slowestRoots(4))
+            ASSERT_NE(t.root.rootId, 0u);
+        spans = tr->exportSpans();
+    };
+    core::runOnce(cfg);
+    int markers = 0;
+    for (const obs::SpanRecord &s : spans) {
+        EXPECT_NE(s.rootId, 0u) << obs::toString(s.kind);
+        markers += s.rootId == obs::kGlobalRoot ? 1 : 0;
+    }
+    EXPECT_GT(markers, 0); // the replica kill's fault window
 }
 
 TEST(TraceDeterminism, MetricsCsvHasProbesAndTicks)

@@ -36,7 +36,7 @@ TEST(EtcModel, ValueSizesMatchGpdMean)
 {
     // GPD(15, 214.476, 0.348) has mean mu + sigma/(1-xi) ~ 344B
     // (clamping trims the far tail slightly).
-    EtcModel etc;
+    KeyspaceModel etc;
     Rng rng(3);
     double sum = 0;
     const int n = 100000;
@@ -47,7 +47,7 @@ TEST(EtcModel, ValueSizesMatchGpdMean)
 
 TEST(EtcModel, KeySizesNearGevLocation)
 {
-    EtcModel etc;
+    KeyspaceModel etc;
     Rng rng(5);
     double sum = 0;
     const int n = 100000;
@@ -65,7 +65,7 @@ TEST(EtcModel, KeySizesNearGevLocation)
 
 TEST(EtcModel, GetFractionRespected)
 {
-    EtcModel etc;
+    KeyspaceModel etc;
     Rng rng(7);
     int gets = 0;
     const int n = 100000;
@@ -76,7 +76,7 @@ TEST(EtcModel, GetFractionRespected)
 
 TEST(EtcModel, SetRequestsCarryTheValue)
 {
-    EtcModel etc;
+    KeyspaceModel etc;
     EXPECT_GT(etc.requestBytes(MemcachedOp::Set, 30, 300),
               etc.requestBytes(MemcachedOp::Get, 30, 300));
 }

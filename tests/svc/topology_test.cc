@@ -247,6 +247,36 @@ TEST(Topology, HedgingMasksADegradedPrimaryReplica)
     EXPECT_LT(runAt(usec(300)), msec(2));
 }
 
+TEST(TopologyDeathTest, ShapeBeyondTheWireFormatIsRejected)
+{
+    // Message::replica is 8-bit and Message::shard 16-bit: a wider
+    // fan-out must fail loudly instead of wrapping onto replica 0.
+    auto build = [](int shards, int replicas) {
+        Simulator sim;
+        net::Link reply(sim, Rng(1));
+        ClientSink client(sim);
+        ServiceGraph graph(sim, reply, client, Rng(3));
+        const hw::HwConfig cfg = hw::HwConfig::serverBaseline();
+        TierParams pp;
+        pp.name = "parent";
+        pp.work = fixedWork(usec(5));
+        Tier &parent = graph.addTier(graph.addMachine(cfg, "parent"),
+                                     std::move(pp));
+        TierParams cp;
+        cp.name = "leaf";
+        cp.work = fixedWork(usec(5));
+        Tier &leaf =
+            graph.addTier(graph.addMachine(cfg, "leaf"), std::move(cp));
+        FanoutParams f;
+        f.shards = shards;
+        f.replicas = replicas;
+        graph.addFanout(parent, leaf, f, [](const net::Message &) {});
+    };
+    build(4, 255); // the widest replica set that fits
+    EXPECT_DEATH(build(4, 256), "wire format");
+    EXPECT_DEATH(build(65537, 1), "wire format");
+}
+
 TEST(Topology, ReplicaFailoverSpreadsToBackupMachines)
 {
     // One shard, two replicas, hedge always firing: the scan runs on
