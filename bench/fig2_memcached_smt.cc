@@ -25,7 +25,7 @@ main()
                 formatTime(opt.duration).c_str());
 
     const auto loads = memcachedLoads();
-    const auto grid = sweep(
+    const auto grid = sweepAxis<LoadAxis>(
         smtStudyConfigs(), loads,
         [&](const std::string &label, double qps) {
             return configFor(label,

@@ -40,7 +40,7 @@ main()
                 formatTime(opt.duration).c_str());
 
     const auto loads = memcachedLoads();
-    const auto grid = sweep(
+    const auto grid = sweepAxis<LoadAxis>(
         c1eStudyConfigs(), loads,
         [&](const std::string &label, double qps) {
             return configFor(label,

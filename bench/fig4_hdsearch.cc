@@ -27,7 +27,7 @@ main()
     for (const auto &c : c1eStudyConfigs())
         configs.push_back(c);
 
-    const auto grid = sweep(
+    const auto grid = sweepAxis<LoadAxis>(
         configs, loads,
         [&](const std::string &label, double qps) {
             return configFor(label,

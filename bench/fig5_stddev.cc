@@ -24,7 +24,7 @@ main()
 
     // (a) Memcached.
     const auto mcLoads = memcachedLoads();
-    const auto mcGrid = sweep(
+    const auto mcGrid = sweepAxis<LoadAxis>(
         smtStudyConfigs(), mcLoads,
         [&](const std::string &label, double qps) {
             return configFor(label,
@@ -47,7 +47,7 @@ main()
 
     // (b) HDSearch.
     const std::vector<double> hdsLoads{500, 1000, 1500, 2000, 2500};
-    const auto hdsGrid = sweep(
+    const auto hdsGrid = sweepAxis<LoadAxis>(
         smtStudyConfigs(), hdsLoads,
         [&](const std::string &label, double qps) {
             return configFor(label,

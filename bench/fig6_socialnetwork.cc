@@ -23,7 +23,7 @@ main()
                 formatTime(opt.duration).c_str());
 
     const std::vector<double> loads{100, 200, 300, 400, 500, 600};
-    const auto grid = sweep(
+    const auto grid = sweepAxis<LoadAxis>(
         {"LP", "HP"}, loads,
         [&](const std::string &label, double qps) {
             auto cfg = withTiming(ExperimentConfig::forSocialNetwork(qps),

@@ -56,7 +56,7 @@ main()
             specs[buf] = CellSpec{lowPower, d};
         }
     }
-    const ConfigFactory factory = [&](const std::string &label,
+    const auto factory = [&](const std::string &label,
                                       double qps) {
         const CellSpec &spec = specs.at(label);
         auto cfg = withTiming(
@@ -67,7 +67,8 @@ main()
         return cfg;
     };
     const StudyGrid swept =
-        sweep(labels, loads, factory, opt.runner(), bench::progress);
+        sweepAxis<LoadAxis>(labels, loads, factory, opt.runner(),
+                            bench::progress);
 
     // grid[load][delay][client] -> result
     struct Cell

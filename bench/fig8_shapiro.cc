@@ -29,7 +29,7 @@ main()
                                            "HP-SMToff", "HP-SMTon",
                                            "LP-C1Eon",  "HP-C1Eon"};
     const auto loads = memcachedLoads();
-    const auto grid = sweep(
+    const auto grid = sweepAxis<LoadAxis>(
         configs, loads,
         [&](const std::string &label, double qps) {
             return configFor(label,

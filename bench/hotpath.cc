@@ -27,13 +27,14 @@
 #include "bench_common.hh"
 
 #include "core/experiment.hh"
+#include "core/runner.hh"
 #include "hw/machine.hh"
 #include "loadgen/openloop.hh"
 #include "net/link.hh"
 #include "net/message.hh"
 #include "sim/event_queue.hh"
 #include "sim/fixed_containers.hh"
-#include "sim/partition.hh"
+#include "sim/thread_pool.hh"
 #include "svc/hdsearch.hh"
 
 namespace {
@@ -265,6 +266,65 @@ hdsearchSteadyAllocsPerEvent(std::uint64_t *steadyAllocs)
            static_cast<double>(sim.executedEvents() - events0);
 }
 
+/** A short partitioned HDSearch cell (4 shards x 2 replicas, 4 ms
+ *  measured) on a crew of @p intraThreads. */
+core::ExperimentConfig
+shortCrewCell(int intraThreads)
+{
+    auto cfg = core::ExperimentConfig::forHdSearch(20000);
+    core::applyTopology(cfg, svc::TopologyShape{4, 2, usec(300)});
+    cfg.gen.warmup = msec(1);
+    cfg.gen.duration = msec(4);
+    cfg.intraThreads = intraThreads;
+    return cfg;
+}
+
+/**
+ * The crew-lifetime benchmark: a 100-run batch of short partitioned
+ * runs at intraThreads=8, whose crews come from the shared ThreadPool
+ * (workers parked between runs). Short runs make per-run thread cost
+ * a visible fraction of wall time — the shape of a swept grid of small
+ * cells. `*spawned` reports pool threads created during the batch:
+ * after the first run's ramp-up it must be zero (no churn), which the
+ * exit gate asserts on any core count.
+ */
+double
+crewBatchRunsPerSec(std::uint64_t *spawned)
+{
+    core::ExperimentConfig cfg = shortCrewCell(8);
+    cfg.seed = 1;
+    (void)core::runOnce(cfg); // ramp the pool / pay first-spawn costs
+    const std::size_t spawned0 = ThreadPool::instance().threadsSpawned();
+    const auto t0 = Clock::now();
+    for (int i = 0; i < 100; ++i) {
+        cfg.seed = static_cast<std::uint64_t>(i) + 2;
+        (void)core::runOnce(cfg);
+    }
+    const double secs = secondsSince(t0);
+    *spawned = ThreadPool::instance().threadsSpawned() - spawned0;
+    return 100.0 / secs;
+}
+
+/**
+ * The grid no-churn check: a 4-wide runManyBatch grid of partitioned
+ * runs (2 cells x 4 runs at intraThreads=4), where the grid workers
+ * and the crews their runs start draw on the same pool. The first
+ * batch grows the pool to that demand (3 grid workers + 4 crews of 3);
+ * @return threads the second, warm batch spawned (must be zero).
+ */
+std::uint64_t
+gridThreadsSpawned()
+{
+    const std::vector<core::ExperimentConfig> cells(2, shortCrewCell(4));
+    core::RunnerOptions opt;
+    opt.runs = 4;
+    opt.parallelism = 4;
+    (void)core::runManyBatch(cells, opt);
+    const std::size_t spawned0 = ThreadPool::instance().threadsSpawned();
+    (void)core::runManyBatch(cells, opt);
+    return ThreadPool::instance().threadsSpawned() - spawned0;
+}
+
 /**
  * The intra-run parallelism benchmark: one *large* HDSearch topology
  * (32 shards over 32 bucket machines + midtier + client = 34
@@ -272,47 +332,9 @@ hdsearchSteadyAllocsPerEvent(std::uint64_t *steadyAllocs)
  * with an 8-thread crew. The 40 us hops set the lookahead, so windows
  * are long enough to amortise the two crew barriers. Events/sec for
  * both goes to BENCH_hotpath.json together with the host's core
- * count — on a single-core container the crew can only lose; read
- * the 8t/1t ratio alongside big_run_cores_available.
+ * count: with fewer cores than crew threads the crew time-shares, so
+ * read the 8t/1t ratio alongside big_run_cores_available.
  */
-/**
- * The crew-lifetime benchmark: a 100-run batch of short partitioned
- * runs at intraThreads=8, once with the persistent pool (workers
- * parked on a condvar between runs) and once in the spawn-per-run
- * reference mode (the pre-pool behaviour). Short runs make per-run
- * thread churn a visible fraction of wall time — the shape of a swept
- * grid of small cells. The acceptance bar (persistent >= 1.5x spawn)
- * holds on hosts with >= 4 cores; on a single-core container both
- * modes time-share one CPU, the windows themselves dominate, and the
- * ratio is uninformative — CI reads this next to
- * big_run_cores_available and skips the assertion there.
- * `*spawned` reports pool threads created during the batch: after the
- * first run's ramp-up it must be zero (no churn), which CI asserts on
- * any core count.
- */
-double
-crewBatchRunsPerSec(bool spawnPerRun, std::uint64_t *spawned)
-{
-    auto cfg = core::ExperimentConfig::forHdSearch(20000);
-    core::applyTopology(cfg, svc::TopologyShape{4, 2, usec(300)});
-    cfg.gen.warmup = msec(1);
-    cfg.gen.duration = msec(4);
-    cfg.intraThreads = 8;
-    PartitionedEngine::crewSpawnPerRun(spawnPerRun);
-    cfg.seed = 1;
-    (void)core::runOnce(cfg); // ramp the pool / pay first-spawn costs
-    const std::size_t spawned0 = PartitionedEngine::crewThreadsSpawned();
-    const auto t0 = Clock::now();
-    for (int i = 0; i < 100; ++i) {
-        cfg.seed = static_cast<std::uint64_t>(i) + 2;
-        (void)core::runOnce(cfg);
-    }
-    const double secs = secondsSince(t0);
-    *spawned = PartitionedEngine::crewThreadsSpawned() - spawned0;
-    PartitionedEngine::crewSpawnPerRun(false);
-    return 100.0 / secs;
-}
-
 double
 bigRunEventsPerSec(int intraThreads, int *domains, bool traced = false)
 {
@@ -364,9 +386,9 @@ main()
     const double big1t = bigRunEventsPerSec(1, &domains1);
     const double big8t = bigRunEventsPerSec(8, &domains8);
     const double bigTraced = bigRunEventsPerSec(1, &domainsTr, true);
-    std::uint64_t crewSpawned = ~0ULL, churnSpawned = 0;
-    const double crewBatch = crewBatchRunsPerSec(false, &crewSpawned);
-    const double churnBatch = crewBatchRunsPerSec(true, &churnSpawned);
+    std::uint64_t crewSpawned = ~0ULL;
+    const double crewBatch = crewBatchRunsPerSec(&crewSpawned);
+    const std::uint64_t gridSpawned = gridThreadsSpawned();
     const int cores =
         static_cast<int>(std::thread::hardware_concurrency());
 
@@ -391,8 +413,9 @@ main()
     std::printf("  %-34s %10.2f runs/s (%llu threads spawned)\n",
                 "100-run batch, persistent crew", crewBatch,
                 static_cast<unsigned long long>(crewSpawned));
-    std::printf("  %-34s %10.2f runs/s\n",
-                "100-run batch, spawn-per-run", churnBatch);
+    std::printf("  %-34s %10llu threads spawned\n",
+                "warm 4-wide grid of crews",
+                static_cast<unsigned long long>(gridSpawned));
     std::printf("  %-34s %10llu\n", "steady-state heap allocations",
                 static_cast<unsigned long long>(steadyAllocs));
 
@@ -412,9 +435,10 @@ main()
             {"big_run_cores_available", static_cast<double>(cores),
              "cores"},
             {"crew_batch_runs_per_sec_persistent", crewBatch, "runs/s"},
-            {"crew_batch_runs_per_sec_spawn", churnBatch, "runs/s"},
             {"crew_batch_threads_spawned",
              static_cast<double>(crewSpawned), "threads"},
+            {"grid_batch_threads_spawned",
+             static_cast<double>(gridSpawned), "threads"},
             {"steady_state_allocs", static_cast<double>(steadyAllocs),
              "allocs"},
         });
@@ -433,15 +457,22 @@ main()
                      static_cast<unsigned long long>(steadyRunAllocs));
         return 1;
     }
+    // Core-count independent: reusing parked workers is a
+    // correctness property of the pool, not a speedup.
     if (crewSpawned != 0) {
-        // Core-count independent: reusing parked workers is a
-        // correctness property of the pool, not a speedup.
         std::fprintf(stderr,
                      "FAIL: persistent crew spawned %llu new threads "
                      "across a warm 100-run batch (expected 0)\n",
                      static_cast<unsigned long long>(crewSpawned));
         return 1;
     }
-    std::printf("\nsteady-state allocation gates: PASS (0 allocs)\n");
+    if (gridSpawned != 0) {
+        std::fprintf(stderr,
+                     "FAIL: warm 4-wide grid of partitioned runs spawned "
+                     "%llu new threads (expected 0)\n",
+                     static_cast<unsigned long long>(gridSpawned));
+        return 1;
+    }
+    std::printf("\nallocation and no-churn gates: PASS\n");
     return 0;
 }

@@ -4,14 +4,14 @@
  *
  *  1. Run a Figure-2-sized study grid (4 configs x 6 loads x 20
  *     repetitions = 480 independent simulations) through the
- *     work-stealing scheduler at parallelism 1 and at hardware
+ *     bag-of-tasks scheduler at parallelism 1 and at hardware
  *     concurrency, verify the two grids are bit-identical, and report
  *     the wall-clock speedup. On a multi-core host the flat task bag
  *     should scale close to linearly; on a single core it degrades
  *     gracefully to ~1x.
  *
  *  2. Many-small-batches: Table IV-style sweeps issue dozens of tiny
- *     cells back to back. The persistent executor parks its workers
+ *     cells back to back. The shared thread pool parks its workers
  *     between batches; a pool that respawns threads per call (the
  *     pre-persistent behaviour, reproduced here as a baseline) pays
  *     the spawn cost every batch. Both must stay bit-identical to
@@ -45,8 +45,9 @@ sweepSeconds(const BenchOptions &opt, int parallelism, StudyGrid &out)
                                     opt));
     };
     const auto t0 = std::chrono::steady_clock::now();
-    out = sweep(smtStudyConfigs(),
-                {10e3, 50e3, 100e3, 200e3, 300e3, 400e3}, factory, ropt);
+    out = sweepAxis<LoadAxis>(
+        smtStudyConfigs(), {10e3, 50e3, 100e3, 200e3, 300e3, 400e3},
+        factory, ropt);
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(t1 - t0).count();
 }

@@ -1,24 +1,22 @@
 /**
  * @file
- * Work-stealing task pool for study execution, backed by a persistent
- * process-wide worker pool.
+ * Bag-of-tasks execution for studies on the process-wide ThreadPool.
  *
  * The paper's methodology multiplies work three ways — configurations
  * x load points x 50 iid repetitions — and every task is an
  * independent simulation. Instead of fanning out per cell (which
  * serialises across cells and leaves workers idle at each cell's
  * tail), the scheduler executes one flat bag of (config, qps,
- * repetition) tasks: each worker owns a queue, drains it FIFO, and
- * when empty steals from the first non-empty peer in a round-robin
- * scan. Results are written to
- * pre-sized slots keyed by task index, so the outcome is bit-identical
- * at any parallelism level.
+ * repetition) tasks: every worker claims the next unclaimed task
+ * index from one shared counter until the bag is empty. Results are
+ * written to pre-sized slots keyed by task index, so the outcome is
+ * bit-identical at any parallelism level.
  *
- * Worker threads are spawned once per process and park on a condition
- * variable between batches, so studies made of many small cells
- * (Table IV-style iteration sweeps) pay no thread-spawn cost per
- * forEach() call. Constructing a Scheduler is free: it only records
- * the requested width; the threads belong to the shared Executor.
+ * Workers come from sim/thread_pool.hh, whose threads park between
+ * batches, so studies made of many small cells (Table IV-style
+ * iteration sweeps) pay no thread-spawn cost per forEach() call.
+ * Constructing a Scheduler is free: it only records the requested
+ * width.
  */
 
 #ifndef TPV_CORE_SCHEDULER_HH
@@ -35,7 +33,7 @@ namespace core {
  * Seed for repetition @p rep of a study with base seed @p baseSeed.
  * Widely spaced (golden-ratio stride); SplitMix scrambling in Rng
  * makes adjacent seeds independent anyway. Every execution path —
- * per-cell runMany() and full-grid sweep() — derives seeds through
+ * per-cell runMany() and full-grid sweepAxis() — derives seeds through
  * this single function, so results depend only on (baseSeed, rep),
  * never on which worker ran the task or how wide the pool was.
  */
@@ -47,58 +45,17 @@ deriveRunSeed(std::uint64_t baseSeed, int rep)
 }
 
 /**
- * The process-wide pool behind every Scheduler. Helper threads are
- * spawned lazily up to the widest batch ever requested, park on a
- * condition variable between batches, and are joined at process exit.
- * Batches from different caller threads are serialised: one batch owns
- * the pool at a time (simulation batches are long; queueing them is
- * the intended behaviour, not a bottleneck).
- */
-class Executor
-{
-  public:
-    /** The shared process-wide instance. */
-    static Executor &instance();
-
-    /**
-     * Run body(i) for every i in [0, n) across min(width, n) workers.
-     * The calling thread participates as worker 0; width 1 (or n == 1)
-     * runs inline without waking any helper. Blocks until every task
-     * finished (or one threw — the first exception is rethrown after
-     * the batch quiesces).
-     */
-    void run(std::size_t n, int width,
-             const std::function<void(std::size_t)> &body);
-
-    /**
-     * Helper threads spawned so far, process-wide (grows to the widest
-     * batch requested, then stays flat — the churn-free guarantee the
-     * reuse tests assert).
-     */
-    std::size_t threadsSpawned() const;
-
-    Executor(const Executor &) = delete;
-    Executor &operator=(const Executor &) = delete;
-
-  private:
-    Executor();
-    ~Executor();
-
-    struct Impl;
-    Impl *impl_;
-};
-
-/**
- * A bag-of-tasks executor with per-worker queues and work stealing.
+ * A bag-of-tasks executor over the shared ThreadPool.
  *
  * Usage: construct with the desired width, then forEach(n, body)
- * executes body(0..n-1) across the shared pool and blocks until every
- * task finished. The calling thread participates as worker 0, so
- * parallelism 1 runs inline with no helper woken at all.
+ * executes body(0..n-1) on min(width, n) workers and blocks until
+ * every task finished. The calling thread participates as worker 0,
+ * so parallelism 1 runs inline, in index order, without touching the
+ * pool.
  *
  * Exceptions: the first exception thrown by any task is captured,
- * remaining queued tasks are abandoned, and the exception is rethrown
- * to the caller of forEach() after the pool quiesces.
+ * remaining tasks are abandoned, and the exception is rethrown to the
+ * caller of forEach() once every worker has stopped.
  */
 class Scheduler
 {
@@ -111,8 +68,8 @@ class Scheduler
 
     /**
      * Run body(i) for every i in [0, n), distributed over the pool.
-     * Blocks until all tasks completed (or one threw). Reentrant
-     * calls from inside a task are not supported.
+     * Blocks until all tasks completed (or one threw). A forEach()
+     * called from inside a task runs its bag inline-serially.
      */
     void forEach(std::size_t n,
                  const std::function<void(std::size_t)> &body) const;

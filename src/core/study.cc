@@ -68,15 +68,6 @@ runGridCells(StudyGrid &grid,
 
 } // namespace detail
 
-StudyGrid
-sweep(const std::vector<std::string> &configs,
-      const std::vector<double> &loads, const ConfigFactory &factory,
-      const RunnerOptions &opt,
-      const std::function<void(const StudyCell &)> &progress)
-{
-    return sweepAxis<LoadAxis>(configs, loads, factory, opt, progress);
-}
-
 double
 slowdownAvg(const RepeatedResult &numerator,
             const RepeatedResult &denominator)

@@ -41,10 +41,6 @@ struct StudyGrid
     std::vector<double> loads() const;
 };
 
-/** Builds an ExperimentConfig for a (label, qps) pair. */
-using ConfigFactory =
-    std::function<ExperimentConfig(const std::string &label, double qps)>;
-
 namespace detail {
 
 /**
@@ -228,20 +224,6 @@ sweepAxis(const std::vector<std::string> &configs,
     detail::runGridCells(grid, cellCfgs, opt, progress);
     return grid;
 }
-
-/**
- * Run the full grid of configurations x loads.
- * @param configs configuration labels, e.g. {"LP-SMToff", ...}.
- * @param loads QPS points, e.g. Figure 2's 10K..500K.
- * @param factory materialises an ExperimentConfig per cell.
- * @param opt repetition settings.
- * @param progress optional callback fired after each finished cell.
- */
-StudyGrid sweep(const std::vector<std::string> &configs,
-                const std::vector<double> &loads,
-                const ConfigFactory &factory, const RunnerOptions &opt,
-                const std::function<void(const StudyCell &)> &progress =
-                    nullptr);
 
 /**
  * The paper's slowdown metric: ratio of mean per-run averages of two

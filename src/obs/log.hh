@@ -3,10 +3,11 @@
  * The diagnostics front door: a process-wide, level-gated log switch
  * that every textual diagnostic in the tree routes through.
  *
- * sim/logging.hh's warn()/inform() templates check logEnabled()
- * *before* formatting, so a silenced level costs one relaxed load and
- * no string work; panic()/fatal() always format (they are about to
- * abort). The sink is replaceable for tests and for embedding runs
+ * sim/logging.hh's warn()/inform() templates and TPV_DEBUG check
+ * logEnabled() *before* formatting and then call logWrite() directly,
+ * so a silenced level costs one relaxed load and no string work;
+ * panic()/fatal() bypass this layer and always print (they are about
+ * to abort). The sink is replaceable for tests and for embedding runs
  * that want diagnostics somewhere other than stderr; the default sink
  * reproduces the historical "warn: ...\n" / "info: ...\n" stderr
  * output byte for byte.

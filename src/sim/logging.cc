@@ -20,17 +20,5 @@ fatalImpl(const std::string &msg)
     std::exit(1);
 }
 
-void
-warnImpl(const std::string &msg)
-{
-    obs::logWrite(obs::LogLevel::Warn, msg);
-}
-
-void
-informImpl(const std::string &msg)
-{
-    obs::logWrite(obs::LogLevel::Info, msg);
-}
-
 } // namespace detail
 } // namespace tpv

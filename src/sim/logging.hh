@@ -30,8 +30,6 @@ concat(Args &&...args)
 
 [[noreturn]] void panicImpl(const std::string &msg);
 [[noreturn]] void fatalImpl(const std::string &msg);
-void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace detail
 
@@ -68,7 +66,8 @@ warn(Args &&...args)
 {
     if (!obs::logEnabled(obs::LogLevel::Warn))
         return;
-    detail::warnImpl(detail::concat(std::forward<Args>(args)...));
+    obs::logWrite(obs::LogLevel::Warn,
+                  detail::concat(std::forward<Args>(args)...));
 }
 
 /** Report normal operating status (obs log layer, level Info). */
@@ -78,7 +77,8 @@ inform(Args &&...args)
 {
     if (!obs::logEnabled(obs::LogLevel::Info))
         return;
-    detail::informImpl(detail::concat(std::forward<Args>(args)...));
+    obs::logWrite(obs::LogLevel::Info,
+                  detail::concat(std::forward<Args>(args)...));
 }
 
 /**

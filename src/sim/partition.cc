@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <functional>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "sim/logging.hh"
+#include "sim/thread_pool.hh"
 
 namespace tpv {
 
@@ -17,7 +13,7 @@ namespace {
 
 /**
  * Crew-thread identity. A pointer-tagged pair instead of a bare index
- * so concurrent *grid* runs (several Simulators on executor workers,
+ * so concurrent *grid* runs (several Simulators on pool workers,
  * some partitioned) can never read another engine's domain index.
  */
 struct TlsCrew
@@ -28,122 +24,7 @@ struct TlsCrew
 
 thread_local TlsCrew tlsCrew;
 
-bool crewSpawnPerRun_ = false;
-
-/**
- * Process-wide persistent crew pool (the core::Executor idiom):
- * workers are spawned lazily, parked on a condvar between runs, and
- * reused by every partitioned run for the life of the process. Unlike
- * the executor, jobs must never queue behind a running batch — crew
- * members rendezvous at barriers, so a member parked in the queue
- * while its crewmates spin would deadlock the run. post() therefore
- * keeps (non-executing workers) >= (queued jobs) by spawning, which
- * also lets concurrent grid runs (several partitioned Simulators on
- * executor workers) each field a full crew at once.
- */
-class CrewPool
-{
-  public:
-    /** Completion state of one runUntil()'s worker batch. All access
-     *  under the pool mutex, so the stack-allocated instance is never
-     *  touched after the caller observes remaining == 0. */
-    struct Batch
-    {
-        int remaining = 0;
-    };
-
-    static CrewPool &
-    instance()
-    {
-        // Intentionally leaked: workers are detached, so a static
-        // destructor would tear the mutex/condvar down under threads
-        // still parked on them and wedge process exit.
-        static CrewPool *pool = new CrewPool;
-        return *pool;
-    }
-
-    void
-    post(std::function<void()> job, Batch *batch)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++batch->remaining;
-        jobs_.push_back(Job{std::move(job), batch});
-        while (idle_ < jobs_.size())
-            spawnWorker();
-        workCv_.notify_all();
-    }
-
-    void
-    wait(Batch &batch)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        doneCv_.wait(lock, [&batch] { return batch.remaining == 0; });
-    }
-
-    std::size_t
-    threadsSpawned() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return spawned_;
-    }
-
-  private:
-    struct Job
-    {
-        std::function<void()> fn;
-        Batch *batch;
-    };
-
-    void
-    spawnWorker()
-    {
-        ++spawned_;
-        ++idle_; // counts as idle until it pops its first job
-        std::thread([this] { workerLoop(); }).detach();
-    }
-
-    void
-    workerLoop()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        for (;;) {
-            workCv_.wait(lock, [this] { return !jobs_.empty(); });
-            Job job = std::move(jobs_.front());
-            jobs_.pop_front();
-            --idle_;
-            lock.unlock();
-            job.fn();
-            lock.lock();
-            ++idle_;
-            --job.batch->remaining;
-            doneCv_.notify_all();
-        }
-    }
-
-    mutable std::mutex mutex_;
-    std::condition_variable workCv_;
-    std::condition_variable doneCv_;
-    std::deque<Job> jobs_;
-    /** Workers not currently executing a job (parked or en route to
-     *  park). The post() invariant idle_ >= jobs_.size() guarantees
-     *  every queued job a concurrently-runnable worker. */
-    std::size_t idle_ = 0;
-    std::size_t spawned_ = 0;
-};
-
 } // namespace
-
-void
-PartitionedEngine::crewSpawnPerRun(bool enable)
-{
-    crewSpawnPerRun_ = enable;
-}
-
-std::size_t
-PartitionedEngine::crewThreadsSpawned()
-{
-    return CrewPool::instance().threadsSpawned();
-}
 
 PartitionedEngine::PartitionedEngine(int domains, Time lookahead,
                                      int threads)
@@ -397,23 +278,8 @@ PartitionedEngine::runUntil(Time deadline)
     deadline_ = deadline;
     done_ = false;
 
-    if (crewSpawnPerRun_) {
-        // Benchmark-only reference path: a fresh crew per run.
-        std::vector<std::thread> crew;
-        crew.reserve(static_cast<std::size_t>(threads_ - 1));
-        for (int i = 1; i < threads_; ++i)
-            crew.emplace_back([this, i] { crewLoop(i); });
-        crewLoop(0);
-        for (std::thread &t : crew)
-            t.join();
-    } else {
-        CrewPool &pool = CrewPool::instance();
-        CrewPool::Batch batch;
-        for (int i = 1; i < threads_; ++i)
-            pool.post([this, i] { crewLoop(i); }, &batch);
-        crewLoop(0);
-        pool.wait(batch);
-    }
+    ThreadPool::instance().run(threads_,
+                               [this](int self) { crewLoop(self); });
 
     // Serial runUntil semantics: the clock lands on the deadline even
     // when the queues drained early.

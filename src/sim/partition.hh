@@ -116,7 +116,7 @@ class PartitionedEngine
      * @param lookahead window length L: a hard lower bound on every
      *                  cross-domain message delay (> 0).
      * @param threads  crew size; the runUntil() caller is crew member
-     *                 0, threads-1 more are spawned per run (>= 2).
+     *                 0, threads-1 more come from the ThreadPool (>= 2).
      */
     PartitionedEngine(int domains, Time lookahead, int threads);
 
@@ -174,25 +174,11 @@ class PartitionedEngine
      * (executes every event with time <= deadline, exactly like the
      * serial Simulator::runUntil). Call once per run, from the thread
      * that owns the Simulator. The caller is crew member 0; the other
-     * threads - 1 members come from a persistent process-wide worker
-     * pool parked on a condvar between runs (like core::Executor), so
-     * a grid of thousands of short runs pays thread spawn cost once,
-     * not per run.
+     * threads - 1 members run on the process-wide ThreadPool, whose
+     * workers park between runs, so a grid of thousands of short runs
+     * pays thread spawn cost once, not per run.
      */
     Time runUntil(Time deadline);
-
-    /**
-     * Force the pre-pool behaviour: spawn and join a fresh crew of
-     * std::threads on every runUntil(). Process-wide toggle, only for
-     * benchmarking the persistent pool against its predecessor
-     * (bench/hotpath's crew-batch metric).
-     */
-    static void crewSpawnPerRun(bool enable);
-
-    /** Workers ever spawned by the persistent crew pool (grows to the
-     *  widest concurrent demand, then stays flat — the no-churn test
-     *  pins this across a run batch). */
-    static std::size_t crewThreadsSpawned();
 
     /**
      * True when a run broke a conservative invariant (a cross-domain

@@ -1,4 +1,4 @@
-/** @file Tests for the work-stealing task scheduler. */
+/** @file Tests for the bag-of-tasks scheduler on the shared pool. */
 
 #include "core/scheduler.hh"
 
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/runner.hh"
+#include "sim/thread_pool.hh"
 
 namespace tpv {
 namespace core {
@@ -91,8 +92,9 @@ TEST(Scheduler, ExceptionAbandonsRemainingWork)
 
 TEST(Scheduler, StressManyMoreTasksThanThreads)
 {
-    // Uneven task sizes force stealing; every index must still be
-    // visited exactly once with no duplicates or drops.
+    // Uneven task sizes make workers race for the shared counter;
+    // every index must still be visited exactly once with no
+    // duplicates or drops.
     const std::size_t n = 10000;
     std::mutex mutex;
     std::set<std::size_t> seen;
@@ -116,11 +118,11 @@ TEST(Scheduler, PersistentPoolAvoidsThreadChurn)
     Scheduler sched(4);
     std::atomic<int> count{0};
     sched.forEach(16, [&](std::size_t) { ++count; });
-    const std::size_t spawned = Executor::instance().threadsSpawned();
+    const std::size_t spawned = ThreadPool::instance().threadsSpawned();
     EXPECT_GE(spawned, 3u); // at least this batch's helpers exist
     for (int i = 0; i < 200; ++i)
         sched.forEach(8, [&](std::size_t) { ++count; });
-    EXPECT_EQ(Executor::instance().threadsSpawned(), spawned);
+    EXPECT_EQ(ThreadPool::instance().threadsSpawned(), spawned);
     EXPECT_EQ(count.load(), 16 + 200 * 8);
 }
 
@@ -129,18 +131,18 @@ TEST(Scheduler, PoolGrowsToWidestRequestThenStaysFlat)
     Scheduler narrow(2), wide(6);
     narrow.forEach(4, [](std::size_t) {});
     wide.forEach(12, [](std::size_t) {});
-    const std::size_t spawned = Executor::instance().threadsSpawned();
+    const std::size_t spawned = ThreadPool::instance().threadsSpawned();
     EXPECT_GE(spawned, 5u);
     // Narrower batches reuse the existing helpers.
     narrow.forEach(4, [](std::size_t) {});
     wide.forEach(12, [](std::size_t) {});
-    EXPECT_EQ(Executor::instance().threadsSpawned(), spawned);
+    EXPECT_EQ(ThreadPool::instance().threadsSpawned(), spawned);
 }
 
 TEST(Scheduler, NestedForEachRunsInlineWithoutDeadlock)
 {
-    // A task that itself calls forEach() must not touch the pool (the
-    // batch lock is held); nested bags run inline-serial instead.
+    // A task that itself calls forEach() takes no more pool workers;
+    // nested bags run inline-serial instead.
     std::atomic<int> inner{0};
     Scheduler sched(4);
     sched.forEach(8, [&](std::size_t) {
@@ -149,10 +151,10 @@ TEST(Scheduler, NestedForEachRunsInlineWithoutDeadlock)
     EXPECT_EQ(inner.load(), 8 * 5);
 }
 
-TEST(Scheduler, ConcurrentCallersSerialiseBatches)
+TEST(Scheduler, ConcurrentCallersEachRunEveryTask)
 {
-    // Two threads submitting batches at once: batches own the pool one
-    // at a time and every task of both still runs exactly once.
+    // Two threads submitting batches at once: each batch gets its own
+    // pool workers and every task of both still runs exactly once.
     std::atomic<int> count{0};
     auto submit = [&] {
         Scheduler sched(4);

@@ -8,7 +8,7 @@ namespace tpv {
 namespace core {
 namespace {
 
-ConfigFactory
+auto
 quickFactory()
 {
     return [](const std::string &label, double qps) {
@@ -26,7 +26,8 @@ TEST(Study, SweepCoversTheGrid)
 {
     RunnerOptions opt;
     opt.runs = 3;
-    auto grid = sweep({"LP", "HP"}, {20e3, 50e3}, quickFactory(), opt);
+    auto grid = sweepAxis<LoadAxis>({"LP", "HP"}, {20e3, 50e3},
+                                    quickFactory(), opt);
     EXPECT_EQ(grid.cells.size(), 4u);
     EXPECT_EQ(grid.configs(), (std::vector<std::string>{"LP", "HP"}));
     EXPECT_EQ(grid.loads(), (std::vector<double>{20e3, 50e3}));
@@ -38,8 +39,8 @@ TEST(Study, ProgressCallbackFiresPerCell)
     RunnerOptions opt;
     opt.runs = 2;
     int fired = 0;
-    sweep({"HP"}, {20e3, 50e3}, quickFactory(), opt,
-          [&](const StudyCell &) { ++fired; });
+    sweepAxis<LoadAxis>({"HP"}, {20e3, 50e3}, quickFactory(), opt,
+                        [&](const StudyCell &) { ++fired; });
     EXPECT_EQ(fired, 2);
 }
 
@@ -47,7 +48,8 @@ TEST(Study, SlowdownRatiosOrdered)
 {
     RunnerOptions opt;
     opt.runs = 4;
-    auto grid = sweep({"LP", "HP"}, {50e3}, quickFactory(), opt);
+    auto grid =
+        sweepAxis<LoadAxis>({"LP", "HP"}, {50e3}, quickFactory(), opt);
     const auto &lp = grid.at("LP", 50e3).result;
     const auto &hp = grid.at("HP", 50e3).result;
     EXPECT_GT(slowdownAvg(lp, hp), 1.2);
@@ -58,7 +60,8 @@ TEST(Study, ConfidentOrderingDetectsSeparation)
 {
     RunnerOptions opt;
     opt.runs = 8;
-    auto grid = sweep({"LP", "HP"}, {50e3}, quickFactory(), opt);
+    auto grid =
+        sweepAxis<LoadAxis>({"LP", "HP"}, {50e3}, quickFactory(), opt);
     // LP and HP medians are far apart: CIs must not overlap.
     EXPECT_EQ(confidentAvgOrdering(grid.at("LP", 50e3).result,
                                    grid.at("HP", 50e3).result),

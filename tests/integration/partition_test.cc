@@ -22,10 +22,12 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/runner.hh"
 #include "fault/fault.hh"
 #include "net/link.hh"
 #include "sim/partition.hh"
 #include "sim/simulator.hh"
+#include "sim/thread_pool.hh"
 #include "svc/hdsearch.hh"
 #include "svc/topology.hh"
 
@@ -334,7 +336,7 @@ TEST(IntraRunParallel, DomainPackingRespectsTheBinCount)
 
 TEST(IntraRunParallel, PersistentCrewSpawnsNoNewThreadsAcrossABatch)
 {
-    // The crew pool parks workers between runs: a 100-run batch may
+    // The thread pool parks workers between runs: a 100-run batch may
     // grow the pool while it first ramps up, but must not spawn per
     // run — the whole point of keeping the crew alive.
     auto cfg = hdsearchCfg();
@@ -342,11 +344,44 @@ TEST(IntraRunParallel, PersistentCrewSpawnsNoNewThreadsAcrossABatch)
     cfg.intraThreads = 4;
     const core::RunResult first = core::runOnce(cfg);
     ASSERT_GT(first.intraDomains, 1);
-    const std::size_t afterFirst = PartitionedEngine::crewThreadsSpawned();
+    const std::size_t afterFirst = ThreadPool::instance().threadsSpawned();
     for (int i = 0; i < 99; ++i)
         core::runOnce(cfg);
-    const std::size_t afterBatch = PartitionedEngine::crewThreadsSpawned();
+    const std::size_t afterBatch = ThreadPool::instance().threadsSpawned();
     EXPECT_EQ(afterBatch, afterFirst);
+}
+
+TEST(IntraRunParallel, GridOfPartitionedRunsMatchesSerialAndSpawnsNoThreads)
+{
+    // Grid workers and the crews their runs start share one pool: a
+    // crew posted from inside a grid task must get real threads, match
+    // the serial engine run for run, and a warm grid must reuse them.
+    std::vector<core::ExperimentConfig> cells = {hdsearchCfg(),
+                                                 hdsearchCfg()};
+    cells[1].gen.qps = 15000;
+    core::RunnerOptions opt;
+    opt.runs = 4;
+    opt.parallelism = 1;
+    const auto serial = core::runManyBatch(cells, opt);
+
+    for (core::ExperimentConfig &cfg : cells)
+        cfg.intraThreads = 4;
+    opt.parallelism = 4;
+    const auto grid = core::runManyBatch(cells, opt);
+    ASSERT_EQ(grid.size(), serial.size());
+    for (std::size_t c = 0; c < grid.size(); ++c) {
+        ASSERT_EQ(grid[c].runs.size(), serial[c].runs.size());
+        for (std::size_t r = 0; r < grid[c].runs.size(); ++r) {
+            EXPECT_EQ(serial[c].runs[r].intraDomains, 1);
+            EXPECT_GT(grid[c].runs[r].intraDomains, 1)
+                << "cell " << c << " run " << r;
+            expectSameRun(serial[c].runs[r], grid[c].runs[r]);
+        }
+    }
+
+    const std::size_t warm = ThreadPool::instance().threadsSpawned();
+    (void)core::runManyBatch(cells, opt);
+    EXPECT_EQ(ThreadPool::instance().threadsSpawned(), warm);
 }
 
 /**

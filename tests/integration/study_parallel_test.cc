@@ -14,7 +14,7 @@ namespace tpv {
 namespace core {
 namespace {
 
-ConfigFactory
+auto
 quickFactory()
 {
     return [](const std::string &label, double qps) {
@@ -63,8 +63,10 @@ TEST(StudyParallel, SerialAndParallelGridsAreIdentical)
     RunnerOptions parallel = serial;
     parallel.parallelism = 6;
 
-    const auto a = sweep(configs, loads, quickFactory(), serial);
-    const auto b = sweep(configs, loads, quickFactory(), parallel);
+    const auto a =
+        sweepAxis<LoadAxis>(configs, loads, quickFactory(), serial);
+    const auto b =
+        sweepAxis<LoadAxis>(configs, loads, quickFactory(), parallel);
     expectIdenticalGrids(a, b);
 }
 
@@ -73,8 +75,8 @@ TEST(StudyParallel, GridLayoutIndependentOfParallelism)
     RunnerOptions opt;
     opt.runs = 2;
     opt.parallelism = 5;
-    const auto grid =
-        sweep({"LP", "HP"}, {20e3, 50e3}, quickFactory(), opt);
+    const auto grid = sweepAxis<LoadAxis>({"LP", "HP"}, {20e3, 50e3},
+                                          quickFactory(), opt);
     // Insertion order stays config-major regardless of which worker
     // finished which cell first.
     EXPECT_EQ(grid.configs(), (std::vector<std::string>{"LP", "HP"}));
@@ -93,7 +95,7 @@ TEST(StudyParallel, ProgressFiresExactlyOncePerCell)
         opt.parallelism = width;
         std::mutex mutex;
         std::set<std::pair<std::string, double>> fired;
-        const auto grid = sweep(
+        const auto grid = sweepAxis<LoadAxis>(
             {"LP", "HP"}, {20e3, 50e3, 80e3}, quickFactory(), opt,
             [&](const StudyCell &cell) {
                 // Cells must be fully aggregated when reported.
@@ -118,7 +120,8 @@ TEST(StudyParallel, MatchesPerCellRunMany)
     opt.baseSeed = 9001;
     opt.parallelism = 4;
     const auto factory = quickFactory();
-    const auto grid = sweep({"LP"}, {20e3, 50e3}, factory, opt);
+    const auto grid =
+        sweepAxis<LoadAxis>({"LP"}, {20e3, 50e3}, factory, opt);
     for (const StudyCell &cell : grid.cells) {
         const auto direct = runMany(factory(cell.config, cell.qps), opt);
         ASSERT_EQ(direct.runs.size(), cell.result.runs.size());
