@@ -11,14 +11,11 @@
  *     gracefully to ~1x.
  *
  *  2. Many-small-batches: Table IV-style sweeps issue dozens of tiny
- *     cells back to back. The shared thread pool parks its workers
- *     between batches; a pool that respawns threads per call (the
- *     pre-persistent behaviour, reproduced here as a baseline) pays
- *     the spawn cost every batch. Both must stay bit-identical to
- *     serial execution.
+ *     cells back to back through the shared thread pool, which parks
+ *     its workers between batches. Every batch must stay
+ *     bit-identical to serial execution.
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -50,44 +47,6 @@ sweepSeconds(const BenchOptions &opt, int parallelism, StudyGrid &out)
         factory, ropt);
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/**
- * The pre-persistent baseline: fan one batch's repetitions out over
- * freshly spawned threads, joined before returning — thread spawn
- * cost on every call.
- */
-RepeatedResult
-runManySpawnPerCall(const ExperimentConfig &cfg, const RunnerOptions &opt,
-                    int width)
-{
-    const std::size_t runs = static_cast<std::size_t>(opt.runs);
-    RepeatedResult out;
-    out.runs.resize(runs);
-    width = std::min<int>(width, static_cast<int>(runs));
-    std::atomic<std::size_t> next{0};
-    const auto work = [&] {
-        for (;;) {
-            const std::size_t r = next.fetch_add(1);
-            if (r >= runs)
-                return;
-            ExperimentConfig runCfg = cfg;
-            runCfg.seed =
-                deriveRunSeed(opt.baseSeed, static_cast<int>(r));
-            out.runs[r] = runOnce(runCfg);
-        }
-    };
-    std::vector<std::thread> pool;
-    for (int w = 1; w < width; ++w)
-        pool.emplace_back(work);
-    work();
-    for (std::thread &t : pool)
-        t.join();
-    for (const RunResult &r : out.runs) {
-        out.avgPerRun.push_back(r.avgUs());
-        out.p99PerRun.push_back(r.p99Us());
-    }
-    return out;
 }
 
 /** Tiny Table-IV-style cell: a few milliseconds of simulated time. */
@@ -124,36 +83,24 @@ manySmallBatches(int wide)
         pooled.push_back(runMany(tinyCell(b), opt));
     const auto t1 = Clock::now();
 
-    // Spawn-per-call baseline at the same width.
-    std::vector<RepeatedResult> spawned;
-    for (int b = 0; b < batches; ++b)
-        spawned.push_back(runManySpawnPerCall(tinyCell(b), opt, wide));
-    const auto t2 = Clock::now();
-
     std::uint64_t mismatches = 0;
     for (int b = 0; b < batches; ++b) {
         for (std::size_t r = 0; r < serial[b].avgPerRun.size(); ++r) {
             if (pooled[b].avgPerRun[r] != serial[b].avgPerRun[r] ||
-                pooled[b].p99PerRun[r] != serial[b].p99PerRun[r] ||
-                spawned[b].avgPerRun[r] != serial[b].avgPerRun[r] ||
-                spawned[b].p99PerRun[r] != serial[b].p99PerRun[r])
+                pooled[b].p99PerRun[r] != serial[b].p99PerRun[r])
                 ++mismatches;
         }
     }
 
     const double pooledS =
         std::chrono::duration<double>(t1 - t0).count();
-    const double spawnedS =
-        std::chrono::duration<double>(t2 - t1).count();
     std::printf("\nMany small batches: %d batches x %d runs, "
                 "parallelism %d\n",
                 batches, opt.runs, wide);
-    std::printf("  persistent pool: %8.3f s\n", pooledS);
-    std::printf("  spawn per call : %8.3f s\n", spawnedS);
+    std::printf("  pooled         : %8.3f s\n", pooledS);
     std::printf("  determinism    : %s\n",
                 mismatches == 0 ? "bit-identical to serial"
                                 : "MISMATCH — scheduler bug");
-    std::printf("  pool advantage : %8.2fx\n", spawnedS / pooledS);
     return mismatches;
 }
 

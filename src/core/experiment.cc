@@ -1,7 +1,6 @@
 #include "core/experiment.hh"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 
 #include "loadgen/openloop.hh"
@@ -218,49 +217,40 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
     // Service construction; single-tier services get their own server
     // machine, the multi-tier clusters build their machines inside.
     std::unique_ptr<hw::Machine> serverMachine;
-    std::unique_ptr<net::Endpoint> service;
-    std::function<const svc::ServiceStats &()> serviceStats;
-    svc::ServiceGraph *serviceGraph = nullptr;
-    auto adopt = [&](auto srv) {
-        serviceStats = [s = srv.get()]() -> const svc::ServiceStats & {
-            return s->stats();
-        };
-        serviceGraph = &srv->graph();
-        service = std::move(srv);
-    };
+    std::unique_ptr<svc::ServiceGraph> service;
     switch (cfg.workload) {
       case WorkloadKind::Memcached:
         if (cfg.memcached.shards > 1 || cfg.memcached.replicas > 1 ||
             cfg.memcached.cache.enabled()) {
             // Widened (or keyed finite-cache) shape: the
             // key-hash-routed cluster.
-            adopt(std::make_unique<svc::MemcachedCluster>(
+            service = std::make_unique<svc::MemcachedCluster>(
                 sim, cfg.server, serverToClient, gen, rootRng.fork(),
-                cfg.memcached));
+                cfg.memcached);
             break;
         }
         serverMachine = std::make_unique<hw::Machine>(
             sim, cfg.server, "server", rootRng.u64());
-        adopt(std::make_unique<svc::MemcachedServer>(
+        service = std::make_unique<svc::MemcachedServer>(
             sim, *serverMachine, serverToClient, gen, rootRng.fork(),
-            cfg.memcached));
+            cfg.memcached);
         break;
       case WorkloadKind::Synthetic:
         serverMachine = std::make_unique<hw::Machine>(
             sim, cfg.server, "server", rootRng.u64());
-        adopt(std::make_unique<svc::SyntheticServer>(
+        service = std::make_unique<svc::SyntheticServer>(
             sim, *serverMachine, serverToClient, gen, rootRng.fork(),
-            cfg.synthetic));
+            cfg.synthetic);
         break;
       case WorkloadKind::HdSearch:
-        adopt(std::make_unique<svc::HdSearchCluster>(
+        service = std::make_unique<svc::HdSearchCluster>(
             sim, cfg.server, serverToClient, gen, rootRng.fork(),
-            cfg.hdsearch));
+            cfg.hdsearch);
         break;
       case WorkloadKind::SocialNetwork:
-        adopt(std::make_unique<svc::SocialNetworkApp>(
+        service = std::make_unique<svc::SocialNetworkApp>(
             sim, cfg.server, serverToClient, gen, rootRng.fork(),
-            cfg.socialnet));
+            cfg.socialnet);
         break;
     }
     serverDoor.target = service.get();
@@ -279,12 +269,12 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
     // (their tick loops migrate into their machines' domains).
     int intraDomains = 1;
     if (intraThreads > 1) {
-        const int serviceDomains = serviceGraph->planPartitions(
+        const int serviceDomains = service->planPartitions(
             1, std::max(1, intraThreads - 1));
         const int domains = 1 + serviceDomains;
         const Time lookahead =
             std::min(net::Link::minDelayFloor(cfg.network),
-                     serviceGraph->minCutFloor());
+                     service->minCutFloor());
         const int threads = std::min(intraThreads, domains);
         if (domains >= 2 && threads >= 2 && lookahead > 0 &&
             domains < (1 << PartitionedEngine::kDomainBits)) {
@@ -293,12 +283,12 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
             // re-home them into their machines' planned domains. The
             // shape was checked above, so enablePartition() cannot
             // refuse and leave the ticks detached.
-            serviceGraph->detachTicks();
+            service->detachTicks();
             const bool enabled =
                 sim.enablePartition(domains, lookahead, threads);
             TPV_ASSERT(enabled, "partition refused a checked shape");
-            serviceGraph->attachTicks();
-            serviceGraph->shardStats(domains);
+            service->attachTicks();
+            service->shardStats(domains);
             intraDomains = domains;
         }
     }
@@ -312,7 +302,7 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
     if (cfg.obs.trace) {
         trace = std::make_unique<obs::TraceRecorder>(
             cfg.obs.traceConfig(), cfg.seed, intraDomains);
-        serviceGraph->setTrace(trace.get());
+        service->setTrace(trace.get());
         auto wireObs = [&sim, tr = trace.get()](const net::Message &m,
                                                 Time delay, bool) {
             // Client messages are root requests and their replies.
@@ -342,7 +332,7 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
 
     if (cfg.obs.metricsPeriod > 0) {
         metrics = std::make_unique<obs::MetricsRegistry>();
-        serviceGraph->registerMetrics(*metrics);
+        service->registerMetrics(*metrics);
         metrics->arm(sim, cfg.obs.metricsPeriod, horizon);
     }
 
@@ -353,7 +343,7 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
     std::unique_ptr<fault::Injector> injector;
     if (!cfg.faultPlan.empty()) {
         injector = std::make_unique<fault::Injector>(
-            sim, *serviceGraph, cfg.faultPlan, rootRng.fork());
+            sim, *service, cfg.faultPlan, rootRng.fork());
         injector->arm(horizon);
     }
 
@@ -389,7 +379,7 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
     out.clientHw = clientMachine.stats();
     if (serverMachine)
         out.serverHw = serverMachine->stats();
-    out.service = serviceStats();
+    out.service = service->stats();
     out.events = sim.executedEvents();
     out.intraDomains = intraDomains;
     return out;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Workload-generator taxonomy (paper Section II): generator type
- * (open/closed loop), inter-arrival time implementation
+ * (open loop; the paper's closed-loop type is not modelled),
+ * inter-arrival time implementation
  * (time-sensitive block-wait vs time-insensitive busy-wait), response
  * completion path, and point of measurement.
  */
@@ -107,36 +108,6 @@ struct OpenLoopParams
     bool correctCoordinatedOmission = false;
 
     /** End of the recording window relative to start(). */
-    Time windowEnd() const { return warmup + duration; }
-};
-
-/** Closed-loop generator configuration. */
-struct ClosedLoopParams
-{
-    /** Concurrent blocking clients per generator thread. */
-    int clientsPerThread = 4;
-    int threads = 10;
-    /** Mean exponential think time between response and next send. */
-    Time thinkTime = usec(100);
-    SendMode sendMode = SendMode::BlockWait;
-    MeasurePoint measure = MeasurePoint::InApp;
-    Time warmup = msec(100);
-    Time duration = seconds(1);
-    Time sendWork = usec(1);
-    Time parseWork = usec(1);
-    std::uint32_t requestBytes = 100;
-    RequestModel requestModel;
-    /**
-     * Offered-load schedule, mirroring OpenLoopParams::profile. A
-     * closed loop has no send schedule to thin, so the profile
-     * modulates *think time* instead: each think gap is divided by
-     * the multiplier at the instant it is drawn. When think time
-     * dominates the cycle (think >> service RTT), the completion
-     * rate tracks base * multiplier by Little's law. The default
-     * Constant profile reproduces the stationary loop bit-for-bit.
-     */
-    LoadProfileParams profile;
-
     Time windowEnd() const { return warmup + duration; }
 };
 

@@ -90,23 +90,17 @@ MemcachedServer::MemcachedServer(Simulator &sim, hw::Machine &machine,
                                  net::Link &replyLink,
                                  net::Endpoint &client, Rng rng,
                                  MemcachedParams params)
-    : SingleTierServer(sim, machine, replyLink, client, params.workers,
-                       rng, params.runVariability),
+    : ServiceGraph(sim, replyLink, client, rng, params.runVariability),
       params_(params)
 {
-}
-
-Time
-MemcachedServer::serviceWork(const net::Message &req, Rng &rng)
-{
-    return etcServiceWork(params_, req, &lastValueBytes_, rng);
-}
-
-std::uint32_t
-MemcachedServer::responseBytes(const net::Message &req, Rng &rng)
-{
-    (void)rng;
-    return etcResponseBytes(params_, req, lastValueBytes_);
+    TierParams t = serverTierParams(params_.workers);
+    t.work = [this](const net::Message &req, Rng &r) {
+        return etcServiceWork(params_, req, &lastValueBytes_, r);
+    };
+    t.responseBytesFn = [this](const net::Message &req, Rng &) {
+        return etcResponseBytes(params_, req, lastValueBytes_);
+    };
+    setEntry(addTier(machine, std::move(t)));
 }
 
 int
@@ -126,8 +120,8 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                                    net::Link &replyLink,
                                    net::Endpoint &client, Rng rng,
                                    MemcachedParams params)
-    : params_(params),
-      graph_(sim, replyLink, client, rng, params.runVariability)
+    : ServiceGraph(sim, replyLink, client, rng, params.runVariability),
+      params_(params)
 {
     TPV_ASSERT(params_.shards >= 1, "cluster needs at least one shard");
     TPV_ASSERT(params_.replicas >= 1, "cluster needs a cache replica");
@@ -139,8 +133,8 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
     routerP.workers = params_.routerWorkers;
     routerP.work = fixedWork(params_.routerWork);
     routerP.envSensitive = false;
-    router_ = &graph_.addTier(graph_.addMachine(serverCfg, "mc-router"),
-                              std::move(routerP));
+    router_ = &addTier(addMachine(serverCfg, "mc-router"),
+                       std::move(routerP));
 
     // The cache tier mirrors MemcachedServer's work model: lognormal
     // base time plus a per-byte cost of the value, SETs paying the
@@ -177,7 +171,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                 static_cast<double>(p.baseServiceTime),
                 static_cast<double>(p.serviceTimeSd)));
             CacheModel &c = cacheFor(req);
-            ServiceStats &s = graph_.mutableStats();
+            ServiceStats &s = mutableStats();
             TierBreakdown &tb = s.tiers[static_cast<std::size_t>(
                 cache_->tierIndex())];
             if (static_cast<MemcachedOp>(req.kind) == MemcachedOp::Get) {
@@ -189,14 +183,14 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                     work += static_cast<Time>(
                         p.nsPerValueByte *
                         static_cast<double>(res.valueBytes));
-                    traceCacheEvent(graph_, cache_->tierIndex(), req,
+                    traceCacheEvent(*this, cache_->tierIndex(), req,
                                     obs::SpanKind::CacheHit,
                                     res.valueBytes);
                 } else {
                     ++s.cacheMisses;
                     ++tb.cacheMisses;
                     req.kind |= kMissFlag;
-                    traceCacheEvent(graph_, cache_->tierIndex(), req,
+                    traceCacheEvent(*this, cache_->tierIndex(), req,
                                     obs::SpanKind::CacheMiss, req.key);
                 }
             } else {
@@ -218,8 +212,8 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
         };
         cacheP.trackShards = params_.shards;
     }
-    cache_ = &graph_.addReplicatedTier(serverCfg, params_.replicas,
-                                       std::move(cacheP));
+    cache_ = &addReplicatedTier(serverCfg, params_.replicas,
+                                std::move(cacheP));
 
     FanoutParams f;
     f.shards = params_.shards;
@@ -244,7 +238,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
     f.postWork = 0;
     f.link = params_.interLink;
     f.traffic = params_.traffic;
-    fanout_ = &graph_.addFanout(
+    fanout_ = &addFanout(
         *router_, *cache_, f, [this](const net::Message &req) {
             // req.bytes carries the cache shard's reply size (the
             // Fanout completion contract), so the client-facing
@@ -253,12 +247,12 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
             // the single-tier server.
             net::Message resp = req;
             resp.isResponse = true;
-            graph_.respond(std::move(resp));
+            respond(std::move(resp));
         });
 
     router_->setHandler(
         [this](const net::Message &req, Time) { fanout_->scatter(req); });
-    graph_.setEntry(*router_);
+    setEntry(*router_);
 
     if (keyed) {
         // Backing store: one slow tier behind every cache shard's
@@ -273,8 +267,8 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
         storeP.responseBytesFn = [p](const net::Message &req, Rng &) {
             return p.responseOverhead + p.etc.valueBytesForKey(req.key);
         };
-        store_ = &graph_.addTier(
-            graph_.addMachine(serverCfg, "mc-store"), std::move(storeP));
+        store_ = &addTier(addMachine(serverCfg, "mc-store"),
+                          std::move(storeP));
 
         FanoutParams fs;
         fs.shards = 1;
@@ -286,7 +280,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
         // cache tier before the reply continues to the router.
         fs.postWork = params_.setExtraTime;
         fs.link = params_.storeLink;
-        storeFanout_ = &graph_.addFanout(
+        storeFanout_ = &addFanout(
             *cache_, *store_, fs, [this](const net::Message &req) {
                 // The store answered: fill the cache and re-enter the
                 // router fan-out's merge path as a (now slow) cache
@@ -297,11 +291,11 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                     m.kind & static_cast<std::uint8_t>(~kMissFlag));
                 const std::uint32_t v =
                     params_.etc.valueBytesForKey(m.key);
-                ServiceStats &s = graph_.mutableStats();
+                ServiceStats &s = mutableStats();
                 ++s.cacheFills;
                 s.cacheEvictions += cacheFor(m).put(m.key, v);
                 m.bytes = v;
-                traceCacheEvent(graph_, cache_->tierIndex(), m,
+                traceCacheEvent(*this, cache_->tierIndex(), m,
                                 obs::SpanKind::CacheFill, v);
                 fanout_->replyFromChild(
                     m, static_cast<Time>(m.serviceWork));
@@ -330,8 +324,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
         const int cacheTier = cache_->tierIndex();
         for (int r = 0; r < params_.replicas; ++r) {
             for (int s = 0; s < params_.shards; ++s) {
-                caches_.emplace_back(params_.cache,
-                                     graph_.rng().fork());
+                caches_.emplace_back(params_.cache, this->rng().fork());
                 if (!params_.cache.coldStart)
                     prewarm(caches_.back(), s);
                 caches_.back().resetCounters();
@@ -343,17 +336,17 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                 // same replica.
                 caches_.back().setObserver(
                     [this, cacheTier, r, s](bool flushed) {
-                        obs::TraceRecorder *tr = graph_.trace();
+                        obs::TraceRecorder *tr = trace();
                         if (tr == nullptr)
                             return;
                         obs::SpanRecord rec;
-                        rec.start = rec.end = graph_.sim().now();
+                        rec.start = rec.end = this->sim().now();
                         rec.arg = flushed ? 1u : 0u;
                         rec.kind = obs::SpanKind::CacheEvict;
                         rec.tier = static_cast<std::uint8_t>(cacheTier);
                         rec.shard = static_cast<std::int16_t>(s);
                         rec.replica = static_cast<std::int16_t>(r);
-                        tr->record(graph_.traceDomain(), rec);
+                        tr->record(traceDomain(), rec);
                     });
             }
         }
@@ -361,7 +354,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
         // Let fault::FaultKind::CacheFlush reach the finite caches:
         // wipe every shard the targeted replica owns (a replica
         // restarts with all its shards cold, not one).
-        graph_.setCacheFlushHook([this](Tier &tier, int replica) {
+        setCacheFlushHook([this](Tier &tier, int replica) {
             if (&tier != cache_)
                 return;
             for (int s = 0; s < params_.shards; ++s)
@@ -370,7 +363,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
 
         // Per-replica cache hit rate on the metrics timeline: summed
         // over the shards the replica owns, homed in its domain.
-        graph_.onRegisterMetrics([this](obs::MetricsRegistry &m) {
+        onRegisterMetrics([this](obs::MetricsRegistry &m) {
             for (int r = 0; r < params_.replicas; ++r) {
                 m.add("cache_hitrate.r" + std::to_string(r),
                       cache_->machine(r).simDomain(), [this, r]() {

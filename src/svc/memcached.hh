@@ -10,9 +10,14 @@
 #ifndef TPV_SVC_MEMCACHED_HH
 #define TPV_SVC_MEMCACHED_HH
 
+#include "hw/machine.hh"
+#include "net/link.hh"
+#include "net/message.hh"
+#include "sim/random.hh"
+#include "sim/simulator.hh"
 #include "svc/cache.hh"
 #include "svc/keyspace.hh"
-#include "svc/service.hh"
+#include "svc/topology.hh"
 
 namespace tpv {
 namespace svc {
@@ -88,10 +93,11 @@ struct MemcachedParams
 };
 
 /**
- * The Memcached server. GET responses carry an ETC-sampled value;
+ * The Memcached server: one "server" tier (serverTierParams) on a
+ * caller-owned machine. GET responses carry an ETC-sampled value;
  * service time scales with the value size.
  */
-class MemcachedServer : public SingleTierServer
+class MemcachedServer : public ServiceGraph
 {
   public:
     MemcachedServer(Simulator &sim, hw::Machine &machine,
@@ -100,13 +106,10 @@ class MemcachedServer : public SingleTierServer
 
     const MemcachedParams &params() const { return params_; }
 
-  protected:
-    Time serviceWork(const net::Message &req, Rng &rng) override;
-    std::uint32_t responseBytes(const net::Message &req,
-                                Rng &rng) override;
-
   private:
     MemcachedParams params_;
+    /** Value size drawn by the last dispatched request's work model,
+     *  read by the reply-size hook at completion. */
     std::uint32_t lastValueBytes_ = 0;
 };
 
@@ -126,30 +129,14 @@ class MemcachedServer : public SingleTierServer
  * slow backing-store tier before replying — so hedging, failover and
  * traffic management compose with cache misses for free.
  */
-class MemcachedCluster : public net::Endpoint
+class MemcachedCluster : public ServiceGraph
 {
   public:
     MemcachedCluster(Simulator &sim, const hw::HwConfig &serverCfg,
                      net::Link &replyLink, net::Endpoint &client, Rng rng,
                      MemcachedParams params = {});
 
-    /** Client request arrives at the router NIC. */
-    void onMessage(const net::Message &req) override
-    {
-        graph_.onMessage(req);
-    }
-
-    /** Requests enter at the router's event-queue domain. */
-    int partitionOf(const net::Message &msg) const override
-    {
-        return graph_.partitionOf(msg);
-    }
-
-    const ServiceStats &stats() const { return graph_.stats(); }
     const MemcachedParams &params() const { return params_; }
-
-    /** The underlying graph (fault injection, diagnostics). */
-    ServiceGraph &graph() { return graph_; }
 
     hw::Machine &router() { return router_->machine(); }
 
@@ -178,7 +165,6 @@ class MemcachedCluster : public net::Endpoint
     void prewarm(CacheModel &cache, int shard);
 
     MemcachedParams params_;
-    ServiceGraph graph_;
     Tier *router_;
     Tier *cache_;
     Fanout *fanout_;

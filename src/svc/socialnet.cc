@@ -12,12 +12,12 @@ SocialNetworkApp::SocialNetworkApp(Simulator &sim,
                                    net::Link &replyLink,
                                    net::Endpoint &client, Rng rng,
                                    SocialNetworkParams params)
-    : params_(std::move(params)),
-      graph_(sim, replyLink, client, rng, params_.runVariability)
+    : ServiceGraph(sim, replyLink, client, rng, params.runVariability),
+      params_(std::move(params))
 {
     TPV_ASSERT(!params_.stages.empty(), "Social Network needs stages");
 
-    hw::Machine &machine = graph_.addMachine(serverCfg, "socialnet");
+    hw::Machine &machine = addMachine(serverCfg, "socialnet");
     for (const SocialStage &s : params_.stages) {
         TierParams t;
         t.name = s.name;
@@ -25,12 +25,12 @@ SocialNetworkApp::SocialNetworkApp(Simulator &sim,
         t.firstCore = s.firstCore;
         t.work = lognormalWork(s.workMean, s.workSd);
         t.responseBytes = params_.responseBytes;
-        stages_.push_back(&graph_.addTier(machine, std::move(t)));
+        stages_.push_back(&addTier(machine, std::move(t)));
     }
     // Both ends on the single app machine: never a cut edge, so its
     // (typically tiny) loopback latency does not bound the parallel
     // engine's window.
-    loopback_ = &graph_.addLink(params_.loopback, &machine, {&machine});
+    loopback_ = &addLink(params_.loopback, &machine, {&machine});
 
     // Chain the stages over the loopback link; the last stage keeps
     // the default handler and replies to the client via the graph.
@@ -43,7 +43,7 @@ SocialNetworkApp::SocialNetworkApp(Simulator &sim,
                 loopback_->send(hop, *next);
             });
     }
-    graph_.setEntry(*stages_.front());
+    setEntry(*stages_.front());
 }
 
 } // namespace svc

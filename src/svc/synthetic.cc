@@ -1,5 +1,7 @@
 #include "svc/synthetic.hh"
 
+#include <utility>
+
 namespace tpv {
 namespace svc {
 
@@ -7,30 +9,20 @@ SyntheticServer::SyntheticServer(Simulator &sim, hw::Machine &machine,
                                  net::Link &replyLink,
                                  net::Endpoint &client, Rng rng,
                                  SyntheticParams params)
-    : SingleTierServer(sim, machine, replyLink, client, params.workers,
-                       rng, params.runVariability),
+    : ServiceGraph(sim, replyLink, client, rng, params.runVariability),
       params_(params)
 {
-}
-
-Time
-SyntheticServer::serviceWork(const net::Message &req, Rng &rng)
-{
-    (void)req;
-    const auto base = static_cast<double>(params_.baseServiceTime);
-    const auto sd = static_cast<double>(params_.serviceTimeSd);
-    // Busy-wait extension: accounted as service time on the worker,
-    // never as idle time (paper Section IV-B).
-    return static_cast<Time>(rng.lognormalMeanSd(base, sd)) +
-           params_.addedDelay;
-}
-
-std::uint32_t
-SyntheticServer::responseBytes(const net::Message &req, Rng &rng)
-{
-    (void)req;
-    (void)rng;
-    return params_.responseBytes;
+    TierParams t = serverTierParams(params_.workers);
+    t.work = [p = params_](const net::Message &, Rng &r) {
+        // Busy-wait extension: accounted as service time on the
+        // worker, never as idle time (paper Section IV-B).
+        return static_cast<Time>(r.lognormalMeanSd(
+                   static_cast<double>(p.baseServiceTime),
+                   static_cast<double>(p.serviceTimeSd))) +
+               p.addedDelay;
+    };
+    t.responseBytes = params_.responseBytes;
+    setEntry(addTier(machine, std::move(t)));
 }
 
 } // namespace svc

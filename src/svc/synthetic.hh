@@ -8,7 +8,12 @@
 #ifndef TPV_SVC_SYNTHETIC_HH
 #define TPV_SVC_SYNTHETIC_HH
 
-#include "svc/service.hh"
+#include "hw/machine.hh"
+#include "net/link.hh"
+#include "net/message.hh"
+#include "sim/random.hh"
+#include "sim/simulator.hh"
+#include "svc/topology.hh"
 
 namespace tpv {
 namespace svc {
@@ -33,12 +38,13 @@ struct SyntheticParams
 };
 
 /**
- * Synthetic tunable-latency service. At addedDelay = 0 it behaves
- * like a fixed-size-value memcached; each +100 us of delay shifts the
- * whole latency distribution right by ~100 us (Figure 7c validates
- * the linearity).
+ * Synthetic tunable-latency service: one "server" tier
+ * (serverTierParams) on a caller-owned machine. At addedDelay = 0 it
+ * behaves like a fixed-size-value memcached; each +100 us of delay
+ * shifts the whole latency distribution right by ~100 us (Figure 7c
+ * validates the linearity).
  */
-class SyntheticServer : public SingleTierServer
+class SyntheticServer : public ServiceGraph
 {
   public:
     SyntheticServer(Simulator &sim, hw::Machine &machine,
@@ -46,11 +52,6 @@ class SyntheticServer : public SingleTierServer
                     SyntheticParams params = {});
 
     const SyntheticParams &params() const { return params_; }
-
-  protected:
-    Time serviceWork(const net::Message &req, Rng &rng) override;
-    std::uint32_t responseBytes(const net::Message &req,
-                                Rng &rng) override;
 
   private:
     SyntheticParams params_;

@@ -128,6 +128,16 @@ lognormalWork(Time mean, Time sd)
     };
 }
 
+TierParams
+serverTierParams(int workers)
+{
+    TierParams p;
+    p.name = "server";
+    p.workers = workers;
+    p.txWork = nsec(500);
+    return p;
+}
+
 Tier::Tier(ServiceGraph &graph, std::vector<hw::Machine *> hosts,
            TierParams params)
     : graph_(graph), params_(std::move(params))
@@ -141,11 +151,6 @@ Tier::Tier(ServiceGraph &graph, std::vector<hw::Machine *> hosts,
             m, WorkerPool(*m, params_.workers, params_.firstCore),
             graph.rng().fork()}));
     }
-}
-
-Tier::Tier(ServiceGraph &graph, hw::Machine &machine, TierParams params)
-    : Tier(graph, std::vector<hw::Machine *>{&machine}, std::move(params))
-{
 }
 
 WorkerPool &
@@ -231,14 +236,32 @@ Tier::countLost()
 }
 
 void
-Tier::countShard(TierBreakdown &tb, const net::Message &msg, Time work)
+Tier::countDispatch(const net::Message &msg, Time work)
 {
+    ServiceStats &stats = graph_.mutableStats();
+    stats.serviceWorkDispatched += work;
+    TierBreakdown &tb =
+        stats.tiers[static_cast<std::size_t>(tierIndex_)];
+    ++tb.requestsDispatched;
+    tb.workDispatched += work;
     if (tb.shardRequests.empty())
         return;
     const auto s = static_cast<std::size_t>(msg.shard) %
                    tb.shardRequests.size();
     ++tb.shardRequests[s];
     tb.shardWork[s] += work;
+}
+
+void
+Tier::endCodelEpisode(Instance &inst, Time now)
+{
+    if (inst.codelDropping) {
+        inst.codelLastCount = inst.codelDropCount;
+        inst.codelExitAt = now;
+        inst.codelDropping = false;
+        inst.codelDropDebt = 0;
+    }
+    inst.aboveTargetSince = kTimeNever;
 }
 
 void
@@ -249,15 +272,18 @@ Tier::noteLost(const net::Message &msg)
     countLost();
 }
 
-void
-Tier::traceShed(const net::Message &msg, std::uint32_t reason)
+bool
+Tier::shed(const net::Message &msg, std::uint32_t reason)
 {
+    ServiceStats &stats = graph_.mutableStats();
+    ++(reason == 1 ? stats.requestsShedDepth : stats.requestsShedDelay);
+    ++stats.tiers[static_cast<std::size_t>(tierIndex_)].requestsShed;
     obs::TraceRecorder *tr = graph_.trace();
     if (tr == nullptr || traceDepth_ < 0)
-        return;
+        return true;
     const std::uint64_t root = traceRoot(msg);
     if (!tr->wants(root))
-        return;
+        return true;
     obs::SpanRecord s;
     s.start = s.end = graph_.sim().now();
     s.rootId = root;
@@ -267,32 +293,24 @@ Tier::traceShed(const net::Message &msg, std::uint32_t reason)
     s.shard = static_cast<std::int16_t>(msg.shard);
     s.replica = static_cast<std::int16_t>(msg.replica);
     tr->record(graph_.traceDomain(), s);
+    return true;
 }
 
 bool
 Tier::shouldShed(Instance &inst, const net::Message &msg)
 {
     const AdmissionPolicy &adm = params_.admission;
-    ServiceStats &stats = graph_.mutableStats();
-    TierBreakdown &tb =
-        stats.tiers[static_cast<std::size_t>(tierIndex_)];
     const Time now = graph_.sim().now();
     // A request whose deadline already passed can only produce a
     // reply the sender will discard: serving it is pure waste.
     if (adm.dropExpired && msg.deadlineNs > 0 &&
         now > msg.appSendTime + static_cast<Time>(msg.deadlineNs)) {
-        ++stats.requestsShedDelay;
-        ++tb.requestsShed;
-        traceShed(msg, 0);
-        return true;
+        return shed(msg, 0);
     }
     if (adm.maxQueueDepth > 0 &&
         inst.pool.serviceThread(msg.conn).queued() >=
             static_cast<std::size_t>(adm.maxQueueDepth)) {
-        ++stats.requestsShedDepth;
-        ++tb.requestsShed;
-        traceShed(msg, 1);
-        return true;
+        return shed(msg, 1);
     }
     if (adm.codelTarget > 0) {
         // CoDel's standing-queue rule, observed where the queue is
@@ -312,13 +330,7 @@ Tier::shouldShed(Instance &inst, const net::Message &msg)
         // thread of a drowning pool is not a drained backlog, and
         // closing on it resets the drop ramp to nothing.
         if (inst.pool.queuedTotal() == 0) {
-            if (inst.codelDropping) {
-                inst.codelLastCount = inst.codelDropCount;
-                inst.codelExitAt = now;
-                inst.codelDropping = false;
-                inst.codelDropDebt = 0;
-            }
-            inst.aboveTargetSince = kTimeNever;
+            endCodelEpisode(inst, now);
             return false;
         }
         const auto lawStep = [&adm](std::uint32_t k) {
@@ -354,12 +366,8 @@ Tier::shouldShed(Instance &inst, const net::Message &msg)
                 for (std::uint64_t p : inst.codelDropRing)
                     sibling = sibling || p == msg.parentId;
             }
-            if (sibling) {
-                ++stats.requestsShedDelay;
-                ++tb.requestsShed;
-                traceShed(msg, 2);
-                return true;
-            }
+            if (sibling)
+                return shed(msg, 2);
             if (now < inst.codelNextDrop) {
                 // Between control instants everything else is
                 // admitted — shedding every arrival here is the
@@ -393,10 +401,7 @@ Tier::shouldShed(Instance &inst, const net::Message &msg)
         inst.codelDropRing[inst.codelDropRingAt] = msg.parentId;
         inst.codelDropRingAt = (inst.codelDropRingAt + 1) %
                                inst.codelDropRing.size();
-        ++stats.requestsShedDelay;
-        ++tb.requestsShed;
-        traceShed(msg, 2);
-        return true;
+        return shed(msg, 2);
     }
     return false;
 }
@@ -470,7 +475,6 @@ Tier::dispatch(const net::Message &msgIn)
                       graph_.sim().now(), root, 0);
         }
     }
-    ServiceStats &stats = graph_.mutableStats();
     if (msg.tied && tieArbiter_) {
         // Tied copy: admission is decided at execution start, so the
         // work accounting moves into the completion (it only runs if
@@ -480,13 +484,7 @@ Tier::dispatch(const net::Message &msgIn)
         inst.pool.serviceThread(msg.conn).submitGuarded(
             work + params_.txWork,
             [this, msg, work] {
-                ServiceStats &s = graph_.mutableStats();
-                s.serviceWorkDispatched += work;
-                TierBreakdown &tb =
-                    s.tiers[static_cast<std::size_t>(tierIndex_)];
-                ++tb.requestsDispatched;
-                tb.workDispatched += work;
-                countShard(tb, msg, work);
+                countDispatch(msg, work);
                 completeService(msg, work);
             },
             // Capture order packs the guard into its 24-byte budget
@@ -500,12 +498,7 @@ Tier::dispatch(const net::Message &msgIn)
             });
         return;
     }
-    stats.serviceWorkDispatched += work;
-    TierBreakdown &tb =
-        stats.tiers[static_cast<std::size_t>(tierIndex_)];
-    ++tb.requestsDispatched;
-    tb.workDispatched += work;
-    countShard(tb, msg, work);
+    countDispatch(msg, work);
     inst.pool.serviceThread(msg.conn).submit(
         work + params_.txWork,
         [this, msg, work] { completeService(msg, work); });
@@ -529,15 +522,8 @@ Tier::completeService(const net::Message &msg, Time work)
         const Time sojourn = graph_.sim().now() - msg.appSendTime;
         if (sojourn < params_.admission.codelTarget) {
             // Sojourn back under target: the standing queue is
-            // resolved, close the dropping episode (remembering its
-            // drop count for a quick re-entry).
-            if (inst.codelDropping) {
-                inst.codelLastCount = inst.codelDropCount;
-                inst.codelExitAt = graph_.sim().now();
-                inst.codelDropping = false;
-                inst.codelDropDebt = 0;
-            }
-            inst.aboveTargetSince = kTimeNever;
+            // resolved.
+            endCodelEpisode(inst, graph_.sim().now());
         } else if (inst.aboveTargetSince == kTimeNever) {
             inst.aboveTargetSince = graph_.sim().now();
         }
@@ -1389,20 +1375,7 @@ ServiceGraph::addMachine(const hw::HwConfig &cfg, const std::string &name)
 Tier &
 ServiceGraph::addTier(hw::Machine &machine, TierParams params)
 {
-    tiers_.push_back(
-        std::make_unique<Tier>(*this, machine, std::move(params)));
-    Tier &t = *tiers_.back();
-    t.tierIndex_ = static_cast<int>(stats_.tiers.size());
-    TierBreakdown tb;
-    tb.name = t.params().name;
-    stats_.tiers.push_back(std::move(tb));
-    if (t.params().trackShards > 0) {
-        const auto n =
-            static_cast<std::size_t>(t.params().trackShards);
-        stats_.tiers.back().shardRequests.assign(n, 0);
-        stats_.tiers.back().shardWork.assign(n, 0);
-    }
-    return t;
+    return adoptTier({&machine}, std::move(params));
 }
 
 Tier &
@@ -1420,6 +1393,13 @@ ServiceGraph::addReplicatedTier(const hw::HwConfig &cfg, int replicas,
         }
         hosts.push_back(&addMachine(cfg, name));
     }
+    return adoptTier(std::move(hosts), std::move(params));
+}
+
+Tier &
+ServiceGraph::adoptTier(std::vector<hw::Machine *> hosts,
+                        TierParams params)
+{
     tiers_.push_back(
         std::make_unique<Tier>(*this, std::move(hosts),
                                std::move(params)));

@@ -305,6 +305,14 @@ struct TierParams
     bool partitionable = false;
 };
 
+/**
+ * TierParams of a single-tier server's one tier (the memcached and
+ * synthetic servers): named "server", with @p workers threads and
+ * the transmit syscall path's CPU cost (500 ns) added to every
+ * request's work. The caller supplies the work model and reply size.
+ */
+TierParams serverTierParams(int workers);
+
 class ServiceGraph;
 
 /**
@@ -338,12 +346,10 @@ class Tier : public net::Endpoint
         std::uint32_t token, std::uint64_t parentId, std::uint16_t shard,
         std::uint16_t replica)>;
 
-    /** Replicated tier: one instance per host, routed by replica. */
+    /** One instance per host (replica r on hosts[r]), routed by
+     *  Message::replica. */
     Tier(ServiceGraph &graph, std::vector<hw::Machine *> hosts,
          TierParams params);
-
-    /** Single-instance tier on @p machine. */
-    Tier(ServiceGraph &graph, hw::Machine &machine, TierParams params);
 
     /** Replace the completion handler (fan-out scatter, chain hop). */
     void setHandler(Handler handler) { handler_ = std::move(handler); }
@@ -497,9 +503,14 @@ class Tier : public net::Endpoint
     /** Count a request lost to a fault on this tier. */
     void countLost();
 
-    /** Per-shard dispatch accounting (no-op unless trackShards). */
-    void countShard(TierBreakdown &tb, const net::Message &msg,
-                    Time work);
+    /** Count @p msg's dispatched work: graph total, this tier's
+     *  breakdown, and its shard slot when trackShards is set. */
+    void countDispatch(const net::Message &msg, Time work);
+
+    /** CoDel: the standing queue is gone. Close a dropping episode
+     *  (remembering its drop count for a quick re-entry) and clear
+     *  the above-target marker. */
+    static void endCodelEpisode(Instance &inst, Time now);
 
     /**
      * A fault dropped @p msg on this tier: let a covering retry
@@ -513,9 +524,9 @@ class Tier : public net::Endpoint
      *  draw so a disabled policy leaves the RNG stream untouched. */
     bool shouldShed(Instance &inst, const net::Message &msg);
 
-    /** Flight recorder: record a Shed instant for @p msg
-     *  (@p reason: 0 expired deadline, 1 queue depth, 2 CoDel). */
-    void traceShed(const net::Message &msg, std::uint32_t reason);
+    /** Count @p msg shed and record its Shed instant (@p reason: 0
+     *  expired deadline, 1 queue depth, 2 CoDel). @return true. */
+    bool shed(const net::Message &msg, std::uint32_t reason);
 
     ServiceGraph &graph_;
     TierParams params_;
@@ -910,7 +921,10 @@ class Fanout
  * The cluster of one service: owns its machines, tiers, fan-outs and
  * intra-cluster links, fronts the whole thing as a single Endpoint,
  * and keeps the ServiceStats. Construction order is deterministic, so
- * a graph's behaviour is fixed by the run seed.
+ * a graph's behaviour is fixed by the run seed. Every workload model
+ * (MemcachedServer, MemcachedCluster, SyntheticServer, HdSearchCluster,
+ * SocialNetworkApp) is a ServiceGraph that wires its tiers in its
+ * constructor.
  */
 class ServiceGraph : public net::Endpoint
 {
@@ -923,6 +937,10 @@ class ServiceGraph : public net::Endpoint
     ServiceGraph(Simulator &sim, net::Link &replyLink,
                  net::Endpoint &client, Rng rng,
                  double runVariability = 0.0);
+
+    /** Tiers, fan-outs and the services' handlers hold its address. */
+    ServiceGraph(const ServiceGraph &) = delete;
+    ServiceGraph &operator=(const ServiceGraph &) = delete;
 
     /** Add a machine owned by the graph (seeded from the graph rng). */
     hw::Machine &addMachine(const hw::HwConfig &cfg,
@@ -957,11 +975,11 @@ class ServiceGraph : public net::Endpoint
     void setEntry(Tier &tier) { entry_ = &tier; }
 
     /** Front door: client request arrives at the service. */
-    void onMessage(const net::Message &req) override;
+    void onMessage(const net::Message &req) final;
 
     /** Requests enter at the entry tier's domain. */
     int
-    partitionOf(const net::Message &msg) const override
+    partitionOf(const net::Message &msg) const final
     {
         return entry_ != nullptr ? entry_->partitionOf(msg) : -1;
     }
@@ -1142,6 +1160,10 @@ class ServiceGraph : public net::Endpoint
     Simulator &sim() { return sim_; }
     Rng &rng() { return rng_; }
 
+    /** The graph itself. Only perfbench's rig calls this; other
+     *  callers pass the service directly. */
+    ServiceGraph &graph() { return *this; }
+
   private:
     /** Partition-plan view of one graph link: which machine's domain
      *  sends on it and which can receive. Parallel to links_. */
@@ -1150,6 +1172,9 @@ class ServiceGraph : public net::Endpoint
         hw::Machine *from = nullptr;
         std::vector<hw::Machine *> to;
     };
+
+    /** Own a tier over @p hosts and give it its stats breakdown. */
+    Tier &adoptTier(std::vector<hw::Machine *> hosts, TierParams params);
 
     /** Tier-hosting machines in (tier, replica) first-appearance
      *  order — the deterministic enumeration planPartitions and the

@@ -86,7 +86,7 @@ TEST(Failover, KillingOneOfThreeReplicasCompletesAllRequests)
     for (int i = 0; i < n; ++i)
         rig.sendAt(msec(1) + i * usec(500),
                    static_cast<std::uint64_t>(i + 1));
-    Injector inj(rig.sim, rig.cluster.graph(),
+    Injector inj(rig.sim, rig.cluster,
                  FaultPlan::replicaKill("hds-bucket", 0, msec(5)),
                  Rng(9));
     inj.arm(msec(60));
@@ -110,7 +110,7 @@ TEST(Failover, CrashAndRestartKeepsServingAndCountsPerTier)
         rig.sendAt(msec(1) + i * usec(500),
                    static_cast<std::uint64_t>(i + 1));
     // Down for 10ms in the middle of the stream, then back.
-    Injector inj(rig.sim, rig.cluster.graph(),
+    Injector inj(rig.sim, rig.cluster,
                  FaultPlan::replicaKill("hds-bucket", 0, msec(10),
                                         msec(10)),
                  Rng(9));
@@ -153,7 +153,7 @@ TEST(Failover, DetectionLatencyDefersFailoverButStillRecovers)
     s.start = msec(5);
     s.detectDelay = msec(7);
     plan.add(s);
-    Injector inj(rig.sim, rig.cluster.graph(), plan, Rng(9));
+    Injector inj(rig.sim, rig.cluster, plan, Rng(9));
     inj.arm(msec(60));
     rig.sim.run();
 
@@ -199,7 +199,7 @@ TEST(Failover, TiedRequestsSurviveAReplicaKill)
     for (int i = 0; i < n; ++i)
         rig.sendAt(msec(1) + i * usec(500),
                    static_cast<std::uint64_t>(i + 1));
-    Injector inj(rig.sim, rig.cluster.graph(),
+    Injector inj(rig.sim, rig.cluster,
                  FaultPlan::replicaKill("hds-bucket", 0, msec(5),
                                         msec(20)),
                  Rng(9));
@@ -269,7 +269,7 @@ TEST(Failover, ShardedMemcachedRoutesOneShardAndSurvivesAKill)
             cluster.onMessage(req);
         });
     }
-    Injector inj(sim, cluster.graph(),
+    Injector inj(sim, cluster,
                  FaultPlan::replicaKill("mc-cache", 0, msec(5)), Rng(9));
     inj.arm(msec(60));
     sim.run();

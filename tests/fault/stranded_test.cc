@@ -98,7 +98,7 @@ TEST(StrandedSubRequest, SilentShortCrashWithoutRetriesLosesTheRequest)
 {
     HdsRig rig(strandedParams());
     rig.sendAt(msec(6), 1); // lands inside the 5..8ms dead window
-    Injector inj(rig.sim, rig.cluster.graph(), silentShortCrash(),
+    Injector inj(rig.sim, rig.cluster, silentShortCrash(),
                  Rng(9));
     inj.arm(msec(60));
     rig.sim.run();
@@ -125,7 +125,7 @@ TEST(StrandedSubRequest, DeadlineRetryRecoversTheSwallowedSubRequest)
     p.traffic.retry.maxAttempts = 3;
     HdsRig rig(p);
     rig.sendAt(msec(6), 1);
-    Injector inj(rig.sim, rig.cluster.graph(), silentShortCrash(),
+    Injector inj(rig.sim, rig.cluster, silentShortCrash(),
                  Rng(9));
     inj.arm(msec(60));
     rig.sim.run();
@@ -165,7 +165,7 @@ TEST(StrandedSubRequest, StreamThroughSilentCrashCompletesEverything)
     s.duration = msec(3);
     s.detectDelay = msec(7);
     plan.add(s);
-    Injector inj(rig.sim, rig.cluster.graph(), plan, Rng(9));
+    Injector inj(rig.sim, rig.cluster, plan, Rng(9));
     inj.arm(msec(60));
     rig.sim.run();
 
@@ -221,7 +221,7 @@ TEST(StrandedSubRequest, ExhaustedRetriesCountTheLossOnce)
     s.duration = msec(30); // outlives deadline * maxAttempts
     s.detectDelay = msec(40);
     plan.add(s);
-    Injector inj(rig.sim, rig.cluster.graph(), plan, Rng(9));
+    Injector inj(rig.sim, rig.cluster, plan, Rng(9));
     inj.arm(msec(60));
     rig.sim.run();
 

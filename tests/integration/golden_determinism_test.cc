@@ -124,11 +124,12 @@ TEST(GoldenDeterminism, SerialMatchesGoldenToo)
 }
 
 // ---------------------------------------------------------------------
-// Every attempt path of the fan-out, pinned exactly. The partition
-// tests compare serial with parallel runs, so a change that moves both
-// the same way passes them; these rows catch it. Captured on the
-// serial engine, seed 7 (HDSearch rows: 20K qps, 5ms warmup + 40ms
-// window; the memcached row: 20K qps, 5ms + 30ms).
+// Every attempt path of the fan-out, and every workload model, pinned
+// exactly. The partition tests compare serial with parallel runs, so a
+// change that moves both the same way passes them; these rows catch
+// it. Captured on the serial engine, seed 7 (HDSearch rows: 20K qps,
+// 5ms warmup + 40ms window; the memcached and synthetic rows: 20K qps,
+// 5ms + 30ms; Social Network: 1K qps, 5ms + 60ms).
 // ---------------------------------------------------------------------
 
 /** FNV-1a over raw bytes. */
@@ -261,6 +262,39 @@ routedMemcachedRetries()
     return cfg;
 }
 
+/** The stock single-tier memcached server (no shape widened). */
+core::ExperimentConfig
+singleTierMemcached()
+{
+    auto cfg = core::ExperimentConfig::forMemcached(20000);
+    cfg.gen.warmup = msec(5);
+    cfg.gen.duration = msec(30);
+    cfg.seed = 7;
+    return cfg;
+}
+
+/** The synthetic service with a 50 us added delay. */
+core::ExperimentConfig
+synthetic()
+{
+    auto cfg = core::ExperimentConfig::forSynthetic(20000, usec(50));
+    cfg.gen.warmup = msec(5);
+    cfg.gen.duration = msec(30);
+    cfg.seed = 7;
+    return cfg;
+}
+
+/** The Social Network stage chain at moderate load. */
+core::ExperimentConfig
+socialNetwork()
+{
+    auto cfg = core::ExperimentConfig::forSocialNetwork(1000);
+    cfg.gen.warmup = msec(5);
+    cfg.gen.duration = msec(60);
+    cfg.seed = 7;
+    return cfg;
+}
+
 struct AttemptGolden
 {
     const char *name;
@@ -290,6 +324,15 @@ const AttemptGolden kAttemptGolden[] = {
     {"routed-memcached+retries", routedMemcachedRetries,
      &svc::ServiceStats::requestsRetried, 0x1.186a8862e463ap+8,
      0x1.0625714b9cb68p+11, 686, 24337, 0xe6a3adb3af7ca667ULL},
+    {"single-tier-memcached", singleTierMemcached,
+     &svc::ServiceStats::responsesSent, 0x1.42e9ff5d597f2p+6,
+     0x1.8f953f7ced919p+6, 722, 17673, 0xf9aca63a700de4fbULL},
+    {"synthetic", synthetic, &svc::ServiceStats::responsesSent,
+     0x1.18dd1f1d4e734p+7, 0x1.a78cfe9b7bf12p+7, 723, 17633,
+     0xb331fc3358c78386ULL},
+    {"social-network", socialNetwork, &svc::ServiceStats::responsesSent,
+     0x1.ee63b629ab837p+11, 0x1.d1eb66277c463p+12, 79, 5344,
+     0xd4f482e581ea6c54ULL},
 };
 
 TEST(GoldenDeterminism, EveryAttemptPathIsPinned)

@@ -298,7 +298,7 @@ plannedDomains(int maxDomains)
     params.replicas = 3;
     svc::HdSearchCluster cluster(sim, hw::HwConfig::serverBaseline(),
                                  reply, client, Rng(2), params);
-    svc::ServiceGraph &graph = cluster.graph();
+    svc::ServiceGraph &graph = cluster;
     const int domains = graph.planPartitions(1, maxDomains);
     std::vector<int> map;
     map.push_back(domains);

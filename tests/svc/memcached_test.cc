@@ -170,7 +170,7 @@ TEST(MemcachedServer, SetsCostMoreThanGets)
 TEST(MemcachedServer, TenWorkersByDefault)
 {
     Rig rig;
-    EXPECT_EQ(rig.server.pool().workers(), 10);
+    EXPECT_EQ(rig.server.tier(0).pool().workers(), 10);
 }
 
 } // namespace

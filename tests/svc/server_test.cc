@@ -1,10 +1,11 @@
 /** @file Tests for the worker pool and single-tier server runtime. */
 
-#include "svc/service.hh"
+#include "svc/topology.hh"
 #include "svc/worker_pool.hh"
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -42,24 +43,20 @@ struct ClientSink : net::Endpoint
     }
 };
 
-/** Fixed-service-time test server. */
-class FixedServer : public SingleTierServer
+/** Single-tier test server: one serverTierParams tier whose requests
+ *  each cost a fixed 10 us and reply 64 bytes. */
+class FixedServer : public ServiceGraph
 {
   public:
-    using SingleTierServer::SingleTierServer;
-    Time fixedWork = usec(10);
-
-  protected:
-    Time
-    serviceWork(const net::Message &, Rng &) override
+    FixedServer(Simulator &sim, hw::Machine &machine, net::Link &replyLink,
+                net::Endpoint &client, int workers, Rng rng,
+                double runVariability = 0.0)
+        : ServiceGraph(sim, replyLink, client, rng, runVariability)
     {
-        return fixedWork;
-    }
-
-    std::uint32_t
-    responseBytes(const net::Message &, Rng &) override
-    {
-        return 64;
+        TierParams t = serverTierParams(workers);
+        t.work = fixedWork(usec(10));
+        t.responseBytes = 64;
+        setEntry(addTier(machine, std::move(t)));
     }
 };
 

@@ -294,7 +294,7 @@ TEST(Breaker, RoutesAroundAnUndetectedDeadReplica)
     s.duration = msec(12);
     s.detectDelay = msec(60); // never detected: the breaker's job
     plan.add(s);
-    fault::Injector inj(rig.sim, rig.cluster.graph(), plan, Rng(9));
+    fault::Injector inj(rig.sim, rig.cluster, plan, Rng(9));
     inj.arm(msec(80));
     rig.sim.run();
 
