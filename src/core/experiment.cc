@@ -13,22 +13,6 @@
 namespace tpv {
 namespace core {
 
-const char *
-toString(WorkloadKind k)
-{
-    switch (k) {
-      case WorkloadKind::Memcached:
-        return "memcached";
-      case WorkloadKind::HdSearch:
-        return "hdsearch";
-      case WorkloadKind::SocialNetwork:
-        return "socialnetwork";
-      case WorkloadKind::Synthetic:
-        return "synthetic";
-    }
-    return "?";
-}
-
 ExperimentConfig
 ExperimentConfig::forMemcached(double qps)
 {
@@ -301,7 +285,7 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
     std::unique_ptr<obs::MetricsRegistry> metrics;
     if (cfg.obs.trace) {
         trace = std::make_unique<obs::TraceRecorder>(
-            cfg.obs.traceConfig(), cfg.seed, intraDomains);
+            cfg.obs, cfg.seed, intraDomains);
         service->setTrace(trace.get());
         auto wireObs = [&sim, tr = trace.get()](const net::Message &m,
                                                 Time delay, bool) {

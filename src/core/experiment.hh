@@ -30,9 +30,6 @@ namespace core {
 /** The paper's four benchmarks (Section IV-B). */
 enum class WorkloadKind { Memcached, HdSearch, SocialNetwork, Synthetic };
 
-/** @return workload name. */
-const char *toString(WorkloadKind k);
-
 /**
  * Everything needed to run one experiment: workload, client/server
  * hardware configurations, generator settings and the network.

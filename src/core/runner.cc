@@ -47,12 +47,6 @@ RepeatedResult::avgCI(double level) const
     return stats::nonparametricMedianCI(avgPerRun, level);
 }
 
-stats::ConfInterval
-RepeatedResult::p99CI(double level) const
-{
-    return stats::nonparametricMedianCI(p99PerRun, level);
-}
-
 RepeatedResult
 runMany(const ExperimentConfig &cfg, const RunnerOptions &opt)
 {

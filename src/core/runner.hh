@@ -52,8 +52,6 @@ struct RepeatedResult
     double stdevAvg() const;
     /** Non-parametric 95% CI of the median per-run average. */
     stats::ConfInterval avgCI(double level = 0.95) const;
-    /** Non-parametric 95% CI of the median per-run p99. */
-    stats::ConfInterval p99CI(double level = 0.95) const;
 };
 
 /**

@@ -125,25 +125,5 @@ TableReporter::print() const
     }
 }
 
-std::string
-TableReporter::csv() const
-{
-    std::string out;
-    char buf[64];
-    for (std::size_t i = 0; i < cols_.size(); ++i) {
-        out += cols_[i];
-        out += (i + 1 < cols_.size()) ? "," : "\n";
-    }
-    for (const Row &r : rows_) {
-        out += r.label;
-        for (double v : r.values) {
-            std::snprintf(buf, sizeof(buf), ",%.6g", v);
-            out += buf;
-        }
-        out += "\n";
-    }
-    return out;
-}
-
 } // namespace core
 } // namespace tpv

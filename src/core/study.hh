@@ -262,9 +262,6 @@ class TableReporter
     /** Render to stdout. */
     void print() const;
 
-    /** Render as CSV (for EXPERIMENTS.md extraction). */
-    std::string csv() const;
-
   private:
     std::string title_;
     std::vector<std::string> cols_;

@@ -122,10 +122,9 @@ struct FaultSpec
 
 /**
  * The fault axis of a study cell: an ordered list of FaultSpecs.
- * Plain copyable data, carried by core::ExperimentConfig and
- * core::Scenario; an empty plan is the no-fault baseline and costs
- * nothing (no rng draws, no events — healthy runs stay bit-identical
- * to pre-fault builds).
+ * Plain copyable data, carried by core::ExperimentConfig; an empty
+ * plan is the no-fault baseline and costs nothing (no rng draws, no
+ * events — healthy runs stay bit-identical to pre-fault builds).
  */
 struct FaultPlan
 {

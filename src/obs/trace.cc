@@ -129,16 +129,17 @@ TraceRecorder::OpenKeyHash::operator()(const OpenKey &k) const
     return static_cast<std::size_t>(h);
 }
 
-TraceRecorder::TraceRecorder(const TraceConfig &cfg, std::uint64_t seed,
+TraceRecorder::TraceRecorder(const ObsOptions &opts, std::uint64_t seed,
                              int domains)
-    : cfg_(cfg), seedMix_(mix64(seed)),
+    : sampleEveryN_(opts.sampleEveryN), tailN_(opts.tailN),
+      maxSpansPerDomain_(opts.maxSpansPerDomain), seedMix_(mix64(seed)),
       logs_(static_cast<std::size_t>(domains > 0 ? domains : 1))
 {
     // Pre-size each slab (fixed-size records, geometric growth only
     // up to the cap) and the open tables, so steady-state recording
     // touches the allocator rarely and predictably.
     const std::size_t slab =
-        std::min<std::size_t>(cfg_.maxSpansPerDomain, 1u << 15);
+        std::min<std::size_t>(maxSpansPerDomain_, 1u << 15);
     for (DomainLog &log : logs_) {
         log.spans.reserve(slab);
         log.open.reserve(1024);
@@ -148,20 +149,20 @@ TraceRecorder::TraceRecorder(const TraceConfig &cfg, std::uint64_t seed,
 bool
 TraceRecorder::sampled(std::uint64_t rootId) const
 {
-    if (cfg_.sampleEveryN <= 1)
+    if (sampleEveryN_ <= 1)
         return true;
-    return mix64(rootId ^ seedMix_) % cfg_.sampleEveryN == 0;
+    return mix64(rootId ^ seedMix_) % sampleEveryN_ == 0;
 }
 
 void
 TraceRecorder::record(int domain, const SpanRecord &span)
 {
     DomainLog &log = logs_[static_cast<std::size_t>(domain)];
-    if (log.spans.size() >= cfg_.maxSpansPerDomain) {
-        if (!log.truncated) {
-            log.truncated = true;
+    if (log.spans.size() >= maxSpansPerDomain_) {
+        if (!log.warnedFull) {
+            log.warnedFull = true;
             warn("trace slab of domain ", domain, " full (",
-                 cfg_.maxSpansPerDomain,
+                 maxSpansPerDomain_,
                  " spans); further spans dropped");
         }
         return;
@@ -204,16 +205,6 @@ TraceRecorder::recorded() const
     return n;
 }
 
-bool
-TraceRecorder::truncated() const
-{
-    for (const DomainLog &log : logs_) {
-        if (log.truncated)
-            return true;
-    }
-    return false;
-}
-
 std::vector<SpanRecord>
 TraceRecorder::exportSpans() const
 {
@@ -221,7 +212,7 @@ TraceRecorder::exportSpans() const
     // export regardless of sampling. Selected here — offline — from
     // the Root spans themselves, so the run pays no ring bookkeeping.
     std::unordered_set<std::uint64_t> tail;
-    if (cfg_.tailN > 0) {
+    if (tailN_ > 0) {
         std::vector<const SpanRecord *> roots;
         for (const DomainLog &log : logs_) {
             for (const SpanRecord &s : log.spans) {
@@ -238,7 +229,7 @@ TraceRecorder::exportSpans() const
                       return a->rootId < b->rootId;
                   });
         const std::size_t n = std::min<std::size_t>(
-            roots.size(), static_cast<std::size_t>(cfg_.tailN));
+            roots.size(), static_cast<std::size_t>(tailN_));
         for (std::size_t i = 0; i < n; ++i)
             tail.insert(roots[i]->rootId);
     }

@@ -111,23 +111,6 @@ struct SpanRecord
     std::int16_t replica = -1;
 };
 
-/** Recorder knobs (the trace part of ObsOptions). */
-struct TraceConfig
-{
-    /** Head-based sampling: record roots whose seeded hash lands on
-     *  0 mod N (<= 1 records every root). */
-    std::uint32_t sampleEveryN = 1;
-    /**
-     * Keep the N slowest completed root requests in the export
-     * regardless of sampling (the tail explainer's input). While
-     * > 0 the recorder records every root and filters at export.
-     */
-    int tailN = 0;
-    /** Per-domain span cap; the slab stops growing past it and the
-     *  recorder reports truncated(). */
-    std::size_t maxSpansPerDomain = std::size_t(1) << 20;
-};
-
 /**
  * Observability knobs of one run, carried by core::ExperimentConfig.
  * Everything defaults off: an ObsOptions-free run records nothing,
@@ -137,8 +120,18 @@ struct ObsOptions
 {
     /** Enable span recording. */
     bool trace = false;
+    /** Head-based sampling: record roots whose seeded hash lands on
+     *  0 mod N (<= 1 records every root). */
     std::uint32_t sampleEveryN = 1;
+    /**
+     * Keep the N slowest completed root requests in the export
+     * regardless of sampling (the tail explainer's input). While
+     * > 0 the recorder records every root and filters at export.
+     */
     int tailN = 0;
+    /** Per-domain span cap; past it a domain's slab stops growing,
+     *  further spans are dropped and the recorder warns once for
+     *  that domain. */
     std::size_t maxSpansPerDomain = std::size_t(1) << 20;
     /** Timeline-metrics sampling period; 0 disables metrics. */
     Time metricsPeriod = 0;
@@ -151,16 +144,6 @@ struct ObsOptions
         sink;
 
     bool any() const { return trace || metricsPeriod > 0; }
-
-    TraceConfig
-    traceConfig() const
-    {
-        TraceConfig t;
-        t.sampleEveryN = sampleEveryN;
-        t.tailN = tailN;
-        t.maxSpansPerDomain = maxSpansPerDomain;
-        return t;
-    }
 };
 
 /**
@@ -205,11 +188,11 @@ class TraceRecorder
     };
 
     /**
-     * @param cfg sampling/tail/cap knobs; @p seed the run seed (the
-     * sampling hash mixes it); @p domains event-queue domain count
-     * (1 for serial runs).
+     * @param opts the run's sampling/tail/cap knobs; @p seed the run
+     * seed (the sampling hash mixes it); @p domains event-queue
+     * domain count (1 for serial runs).
      */
-    TraceRecorder(const TraceConfig &cfg, std::uint64_t seed,
+    TraceRecorder(const ObsOptions &opts, std::uint64_t seed,
                   int domains);
 
     /** Is @p rootId head-sampled? Pure function of (seed, rootId). */
@@ -223,7 +206,7 @@ class TraceRecorder
     bool
     wants(std::uint64_t rootId) const
     {
-        return cfg_.tailN > 0 || sampled(rootId);
+        return tailN_ > 0 || sampled(rootId);
     }
 
     /** Append a finished span to @p domain's slab. */
@@ -244,11 +227,6 @@ class TraceRecorder
 
     /** Spans recorded across all domains. */
     std::uint64_t recorded() const;
-
-    /** True when any domain hit maxSpansPerDomain and dropped spans. */
-    bool truncated() const;
-
-    const TraceConfig &config() const { return cfg_; }
 
     /**
      * The export set: spans of sampled roots, of the tailN slowest
@@ -286,10 +264,14 @@ class TraceRecorder
     {
         std::vector<SpanRecord> spans;
         std::unordered_map<OpenKey, OpenValue, OpenKeyHash> open;
-        bool truncated = false;
+        /** The slab hit the cap and the one warning went out. */
+        bool warnedFull = false;
     };
 
-    TraceConfig cfg_;
+    /** The run's ObsOptions trace knobs, read at construction. */
+    std::uint32_t sampleEveryN_;
+    int tailN_;
+    std::size_t maxSpansPerDomain_;
     std::uint64_t seedMix_ = 0;
     std::vector<DomainLog> logs_;
 };

@@ -20,5 +20,11 @@ fatalImpl(const std::string &msg)
     std::exit(1);
 }
 
+void
+warnImpl(const std::string &msg)
+{
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
+}
+
 } // namespace detail
 } // namespace tpv

@@ -1,9 +1,11 @@
 /**
  * @file
- * Status / error reporting helpers, following the gem5 logging
+ * The diagnostics front door, following the gem5 logging
  * conventions: panic() for internal invariant violations (simulator
- * bugs), fatal() for user-caused configuration errors, warn() and
- * inform() for non-fatal notices.
+ * bugs), fatal() for user-caused configuration errors, warn() for
+ * suspicious-but-survivable conditions. Every textual diagnostic in
+ * the tree goes to stderr through these; there is no level or sink
+ * knob.
  */
 
 #ifndef TPV_SIM_LOGGING_HH
@@ -11,8 +13,6 @@
 
 #include <sstream>
 #include <string>
-
-#include "obs/log.hh"
 
 namespace tpv {
 
@@ -30,6 +30,7 @@ concat(Args &&...args)
 
 [[noreturn]] void panicImpl(const std::string &msg);
 [[noreturn]] void fatalImpl(const std::string &msg);
+void warnImpl(const std::string &msg);
 
 } // namespace detail
 
@@ -55,50 +56,14 @@ fatal(Args &&...args)
     detail::fatalImpl(detail::concat(std::forward<Args>(args)...));
 }
 
-/**
- * Report a suspicious-but-survivable condition through the obs log
- * layer (stderr by default). The level gate runs before any
- * formatting: a silenced level costs one load and no string work.
- */
+/** Report a suspicious-but-survivable condition: writes
+ *  "warn: <msg>\n" to stderr. */
 template <typename... Args>
 void
 warn(Args &&...args)
 {
-    if (!obs::logEnabled(obs::LogLevel::Warn))
-        return;
-    obs::logWrite(obs::LogLevel::Warn,
-                  detail::concat(std::forward<Args>(args)...));
+    detail::warnImpl(detail::concat(std::forward<Args>(args)...));
 }
-
-/** Report normal operating status (obs log layer, level Info). */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    if (!obs::logEnabled(obs::LogLevel::Info))
-        return;
-    obs::logWrite(obs::LogLevel::Info,
-                  detail::concat(std::forward<Args>(args)...));
-}
-
-/**
- * Debug diagnostics: level-gated at runtime and compiled out
- * entirely (arguments never evaluated) when TPV_NO_DEBUG_LOG is
- * defined — the compiled-out-cheap tier of the diagnostics door.
- */
-#ifdef TPV_NO_DEBUG_LOG
-#define TPV_DEBUG(...)                                                   \
-    do {                                                                 \
-    } while (0)
-#else
-#define TPV_DEBUG(...)                                                   \
-    do {                                                                 \
-        if (::tpv::obs::logEnabled(::tpv::obs::LogLevel::Debug)) {       \
-            ::tpv::obs::logWrite(::tpv::obs::LogLevel::Debug,            \
-                                 ::tpv::detail::concat(__VA_ARGS__));    \
-        }                                                                \
-    } while (0)
-#endif
 
 /** panic() unless the given invariant holds. */
 #define TPV_ASSERT(cond, ...)                                            \

@@ -60,12 +60,6 @@ Rng::uniform01()
     return static_cast<double>(u64() >> 11) * 0x1.0p-53;
 }
 
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform01();
-}
-
 std::int64_t
 Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 {
@@ -134,17 +128,6 @@ Rng::lognormalMeanSd(double mean, double sd)
     const double sigma2 = std::log(1.0 + variance / (mean * mean));
     const double mu = std::log(mean) - 0.5 * sigma2;
     return std::exp(mu + std::sqrt(sigma2) * standardNormal());
-}
-
-double
-Rng::pareto(double scale, double shape)
-{
-    TPV_ASSERT(scale > 0 && shape > 0, "pareto parameters must be positive");
-    double u;
-    do {
-        u = uniform01();
-    } while (u <= 0.0);
-    return scale * std::pow(u, -1.0 / shape);
 }
 
 double

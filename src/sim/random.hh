@@ -35,9 +35,6 @@ class Rng
     /** Uniform double in [0, 1). */
     double uniform01();
 
-    /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
-
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
@@ -59,9 +56,6 @@ class Rng
      * the natural way to say "service time ~10us, sd ~3us".
      */
     double lognormalMeanSd(double mean, double sd);
-
-    /** Classic Pareto: scale * U^(-1/shape). */
-    double pareto(double scale, double shape);
 
     /**
      * Generalized Pareto with location mu, scale sigma, shape xi —

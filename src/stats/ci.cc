@@ -4,21 +4,11 @@
 #include <cmath>
 
 #include "sim/logging.hh"
-#include "sim/random.hh"
 #include "stats/descriptive.hh"
 #include "stats/normal.hh"
 
 namespace tpv {
 namespace stats {
-
-double
-ConfInterval::relativeError() const
-{
-    if (center == 0)
-        return 0;
-    const double half = (upper - lower) / 2.0;
-    return std::abs(half / center);
-}
 
 bool
 ConfInterval::overlaps(const ConfInterval &other) const
@@ -57,97 +47,12 @@ nonparametricMedianCI(const std::vector<double> &xs, double level)
     return ci;
 }
 
-ConfInterval
-parametricMeanCI(const std::vector<double> &xs, double level)
-{
-    TPV_ASSERT(xs.size() >= 2, "parametric CI needs >= 2 samples");
-    const double m = mean(xs);
-    const double s = stdev(xs);
-    const double z = zForConfidence(level);
-    const double half = z * s / std::sqrt(static_cast<double>(xs.size()));
-
-    ConfInterval ci;
-    ci.center = m;
-    ci.lower = m - half;
-    ci.upper = m + half;
-    ci.level = level;
-    return ci;
-}
-
-namespace {
-
-/** Student-t quantile by bisection on the CDF (df small, so cheap). */
-double
-tQuantile(double p, double df)
-{
-    double lo = -100.0, hi = 100.0;
-    for (int i = 0; i < 200; ++i) {
-        const double mid = 0.5 * (lo + hi);
-        if (studentTCdf(mid, df) < p)
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return 0.5 * (lo + hi);
-}
-
-} // namespace
-
-ConfInterval
-tMeanCI(const std::vector<double> &xs, double level)
-{
-    TPV_ASSERT(xs.size() >= 2, "t CI needs >= 2 samples");
-    const double m = mean(xs);
-    const double s = stdev(xs);
-    const double df = static_cast<double>(xs.size() - 1);
-    const double tcrit = tQuantile(0.5 + level / 2.0, df);
-    const double half = tcrit * s / std::sqrt(static_cast<double>(xs.size()));
-
-    ConfInterval ci;
-    ci.center = m;
-    ci.lower = m - half;
-    ci.upper = m + half;
-    ci.level = level;
-    return ci;
-}
-
 int
 confidentOrdering(const ConfInterval &a, const ConfInterval &b)
 {
     if (a.overlaps(b))
         return 0;
     return a.lower > b.upper ? +1 : -1;
-}
-
-ConfInterval
-bootstrapMedianCI(const std::vector<double> &xs, double level, int rounds,
-                  std::uint64_t seed)
-{
-    TPV_ASSERT(xs.size() >= 2, "bootstrap CI needs >= 2 samples");
-    TPV_ASSERT(rounds >= 100, "bootstrap needs >= 100 rounds");
-    TPV_ASSERT(level > 0 && level < 1, "bad confidence level");
-
-    Rng rng(seed);
-    const auto n = static_cast<std::int64_t>(xs.size());
-    std::vector<double> medians;
-    medians.reserve(static_cast<std::size_t>(rounds));
-    std::vector<double> resample(xs.size());
-    for (int r = 0; r < rounds; ++r) {
-        for (auto &v : resample)
-            v = xs[static_cast<std::size_t>(rng.uniformInt(0, n - 1))];
-        medians.push_back(median(resample));
-    }
-
-    ConfInterval ci;
-    ci.level = level;
-    ci.center = median(xs);
-    ci.lower = percentile(medians, 100.0 * (1.0 - level) / 2.0);
-    ci.upper = percentile(medians, 100.0 * (1.0 + level) / 2.0);
-    // The point estimate can sit at the interval edge for tiny
-    // samples; widen minimally to preserve the invariant.
-    ci.lower = std::min(ci.lower, ci.center);
-    ci.upper = std::max(ci.upper, ci.center);
-    return ci;
 }
 
 } // namespace stats

@@ -1,14 +1,13 @@
 /**
  * @file
  * Confidence intervals: the paper's non-parametric median CI
- * (Section III, Eq. 1-2) and the classic parametric mean CI.
+ * (Section III, Eq. 1-2) and the non-overlap ordering rule.
  */
 
 #ifndef TPV_STATS_CI_HH
 #define TPV_STATS_CI_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace tpv {
@@ -23,9 +22,6 @@ struct ConfInterval
     double center = 0;
     /** Confidence level used, e.g. 0.95. */
     double level = 0;
-
-    /** Half-width relative to the center, e.g. 0.01 for "1% error". */
-    double relativeError() const;
 
     /** @return true if the two intervals share any point. */
     bool overlaps(const ConfInterval &other) const;
@@ -48,40 +44,12 @@ ConfInterval nonparametricMedianCI(const std::vector<double> &xs,
                                    double level = 0.95);
 
 /**
- * Parametric CI for the mean: mean +/- z * s / sqrt(n). This is the
- * large-sample normal-theory interval that Jain's iteration formula
- * (paper Eq. 3) is derived from.
- * @pre xs.size() >= 2
- */
-ConfInterval parametricMeanCI(const std::vector<double> &xs,
-                              double level = 0.95);
-
-/**
- * Small-sample variant using the Student-t critical value instead of
- * z; converges to parametricMeanCI() for large n.
- * @pre xs.size() >= 2
- */
-ConfInterval tMeanCI(const std::vector<double> &xs, double level = 0.95);
-
-/**
  * The paper's decision rule: "In order to be confident that a mean is
  * higher than another, their CI should not overlap."
  * @return +1 if a is confidently above b, -1 if confidently below,
  *         0 if the intervals overlap (no confident ordering).
  */
 int confidentOrdering(const ConfInterval &a, const ConfInterval &b);
-
-/**
- * Percentile-bootstrap CI for the median: resample with replacement
- * @p rounds times and take the (1-level)/2 and (1+level)/2 quantiles
- * of the resampled medians. Distribution-free like the
- * order-statistic interval of Eq. 1-2, and a useful cross-check of
- * it; deterministic for a given @p seed.
- * @pre xs.size() >= 2, rounds >= 100
- */
-ConfInterval bootstrapMedianCI(const std::vector<double> &xs,
-                               double level = 0.95, int rounds = 1000,
-                               std::uint64_t seed = 0xB0075EEDULL);
 
 } // namespace stats
 } // namespace tpv

@@ -27,17 +27,6 @@ autocorrelation(const std::vector<double> &xs, std::size_t lag)
     return num / den;
 }
 
-std::vector<double>
-acf(const std::vector<double> &xs, std::size_t maxLag)
-{
-    TPV_ASSERT(maxLag >= 1 && maxLag < xs.size(), "acf maxLag out of range");
-    std::vector<double> out;
-    out.reserve(maxLag);
-    for (std::size_t k = 1; k <= maxLag; ++k)
-        out.push_back(autocorrelation(xs, k));
-    return out;
-}
-
 bool
 looksIndependent(const std::vector<double> &xs, std::size_t maxLag)
 {
@@ -48,40 +37,6 @@ looksIndependent(const std::vector<double> &xs, std::size_t maxLag)
             return false;
     }
     return true;
-}
-
-std::vector<std::pair<double, double>>
-lagPairs(const std::vector<double> &xs, std::size_t lag)
-{
-    TPV_ASSERT(lag >= 1 && lag < xs.size(), "lagPairs lag out of range");
-    std::vector<std::pair<double, double>> out;
-    out.reserve(xs.size() - lag);
-    for (std::size_t i = 0; i + lag < xs.size(); ++i)
-        out.emplace_back(xs[i], xs[i + lag]);
-    return out;
-}
-
-TurningPointResult
-turningPointTest(const std::vector<double> &xs)
-{
-    const std::size_t n = xs.size();
-    TPV_ASSERT(n >= 3, "turning point test needs >= 3 samples");
-
-    TurningPointResult res;
-    for (std::size_t i = 1; i + 1 < n; ++i) {
-        const bool peak = xs[i] > xs[i - 1] && xs[i] > xs[i + 1];
-        const bool trough = xs[i] < xs[i - 1] && xs[i] < xs[i + 1];
-        if (peak || trough)
-            ++res.turningPoints;
-    }
-    const double dn = static_cast<double>(n);
-    res.expected = 2.0 * (dn - 2.0) / 3.0;
-    const double variance = (16.0 * dn - 29.0) / 90.0;
-    res.z = (static_cast<double>(res.turningPoints) - res.expected) /
-            std::sqrt(variance);
-    res.pValue = 2.0 * normalSf(std::abs(res.z));
-    res.pValue = std::min(res.pValue, 1.0);
-    return res;
 }
 
 namespace {

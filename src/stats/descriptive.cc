@@ -30,17 +30,6 @@ stdev(const std::vector<double> &xs)
 }
 
 double
-populationVariance(const std::vector<double> &xs)
-{
-    TPV_ASSERT(!xs.empty(), "variance of empty sample set");
-    const double m = mean(xs);
-    double ss = 0;
-    for (double x : xs)
-        ss += (x - m) * (x - m);
-    return ss / static_cast<double>(xs.size());
-}
-
-double
 minValue(const std::vector<double> &xs)
 {
     TPV_ASSERT(!xs.empty(), "min of empty sample set");
@@ -78,13 +67,6 @@ percentile(const std::vector<double> &xs, double p)
     return SortedView(ys).percentile(p);
 }
 
-double
-trimmedMean(const std::vector<double> &xs, double trimFrac)
-{
-    const std::vector<double> ys = sorted(xs);
-    return SortedView(ys).trimmedMean(trimFrac);
-}
-
 SortedView::SortedView(const std::vector<double> &sortedXs)
     : xs_(&sortedXs)
 {
@@ -120,21 +102,6 @@ SortedView::percentile(double p) const
     const auto hi = static_cast<std::size_t>(std::ceil(rank));
     const double frac = rank - std::floor(rank);
     return ys[lo] + frac * (ys[hi] - ys[lo]);
-}
-
-double
-SortedView::trimmedMean(double trimFrac) const
-{
-    TPV_ASSERT(trimFrac >= 0.0 && trimFrac < 0.5,
-               "trim fraction out of [0, 0.5): ", trimFrac);
-    const std::vector<double> &ys = *xs_;
-    const auto cut = static_cast<std::size_t>(
-        std::floor(static_cast<double>(ys.size()) * trimFrac));
-    TPV_ASSERT(ys.size() > 2 * cut, "trimmed mean of empty middle");
-    double sum = 0;
-    for (std::size_t i = cut; i < ys.size() - cut; ++i)
-        sum += ys[i];
-    return sum / static_cast<double>(ys.size() - 2 * cut);
 }
 
 Summary

@@ -5,7 +5,6 @@
 
 #include "sim/logging.hh"
 #include "stats/descriptive.hh"
-#include "stats/normal.hh"
 
 namespace tpv {
 namespace stats {
@@ -32,45 +31,6 @@ aSquaredFromU(const std::vector<double> &u)
 }
 
 } // namespace
-
-AndersonDarlingResult
-andersonDarlingNormal(const std::vector<double> &xs)
-{
-    TPV_ASSERT(xs.size() >= 8, "AD normality test needs >= 8 samples");
-    const double m = mean(xs);
-    const double s = stdev(xs);
-    AndersonDarlingResult res;
-    if (s == 0) {
-        res.aSquared = 1e9;
-        res.pValue = 0;
-        return res;
-    }
-
-    std::vector<double> ys = sorted(xs);
-    std::vector<double> u(ys.size());
-    for (std::size_t i = 0; i < ys.size(); ++i)
-        u[i] = normalCdf((ys[i] - m) / s);
-
-    const double a2 = aSquaredFromU(u);
-    const double n = static_cast<double>(xs.size());
-    // Stephens' case-3 adjustment for estimated mean and variance.
-    const double aStar = a2 * (1.0 + 0.75 / n + 2.25 / (n * n));
-    res.aSquared = aStar;
-
-    // D'Agostino & Stephens (1986) p-value segments.
-    double p;
-    if (aStar >= 0.6) {
-        p = std::exp(1.2937 - 5.709 * aStar + 0.0186 * aStar * aStar);
-    } else if (aStar > 0.34) {
-        p = std::exp(0.9177 - 4.279 * aStar - 1.38 * aStar * aStar);
-    } else if (aStar > 0.2) {
-        p = 1.0 - std::exp(-8.318 + 42.796 * aStar - 59.938 * aStar * aStar);
-    } else {
-        p = 1.0 - std::exp(-13.436 + 101.14 * aStar - 223.73 * aStar * aStar);
-    }
-    res.pValue = std::clamp(p, 0.0, 1.0);
-    return res;
-}
 
 AndersonDarlingExpResult
 andersonDarlingExponential(const std::vector<double> &xs)

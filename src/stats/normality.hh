@@ -1,7 +1,6 @@
 /**
  * @file
- * Anderson-Darling goodness-of-fit tests: normality (complements
- * Shapiro-Wilk for Figure 8-style analyses) and exponentiality (the
+ * Anderson-Darling goodness-of-fit test for exponentiality (the
  * check Lancet applies to request inter-arrival times, paper
  * Section VII).
  */
@@ -13,25 +12,6 @@
 
 namespace tpv {
 namespace stats {
-
-/** Result of an Anderson-Darling test. */
-struct AndersonDarlingResult
-{
-    /** The A^2 statistic adjusted for estimated parameters. */
-    double aSquared = 0;
-    /** Approximate p-value (D'Agostino-Stephens formulas). */
-    double pValue = 0;
-
-    /** Does the sample pass the fit at significance @p alpha? */
-    bool passesAt(double alpha = 0.05) const { return pValue >= alpha; }
-};
-
-/**
- * Anderson-Darling test for normality with estimated mean/variance
- * (Stephens "case 3" small-sample adjustment).
- * @pre xs.size() >= 8 and not all values equal.
- */
-AndersonDarlingResult andersonDarlingNormal(const std::vector<double> &xs);
 
 /** Result of the exponentiality test. */
 struct AndersonDarlingExpResult

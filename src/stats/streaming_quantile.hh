@@ -45,15 +45,6 @@ class StreamingQuantile
     /** Observations folded in so far. */
     std::uint64_t count() const { return count_; }
 
-    /**
-     * True once the five P² markers are initialised and estimate()
-     * returns a genuine quantile. Before that the estimate is the
-     * deterministic warmup fallback (0 with no observations, the max
-     * seen otherwise) — consumers steering on the tail (adaptive
-     * hedging at t≈0, latency-tripped circuit breakers) should gate
-     * on this instead of trusting a two-sample "p95".
-     */
-    bool isWarm() const { return count_ >= 5; }
 
   private:
     double q_;

@@ -643,7 +643,6 @@ Fanout::Fanout(ServiceGraph &graph, Tier &parent, Tier &child,
     if (traffic_.breaker.enabled()) {
         breakers_.assign(static_cast<std::size_t>(params_.replicas),
                          CircuitBreaker(traffic_.breaker));
-        breakerLatency_ = traffic_.breaker.latencyFactor > 0;
     }
     // One child->parent link per child replica instance, so replicas
     // on different event-queue domains never share a link (a link's
@@ -1093,19 +1092,6 @@ Fanout::noteBreakerFailure(int replica)
         ++graph_.mutableStats().breakerOpens;
 }
 
-void
-Fanout::noteBreakerSuccess(int replica, Time rtt)
-{
-    if (breakerLatency_ && replyP95_.isWarm() &&
-        static_cast<double>(rtt) >
-            traffic_.breaker.latencyFactor * replyP95_.estimate()) {
-        // Accepted but pathologically slow: latency-trip evidence.
-        noteBreakerFailure(replica);
-        return;
-    }
-    breakers_[static_cast<std::size_t>(replica)].onSuccess();
-}
-
 bool
 Fanout::admitTied(std::uint32_t token, std::uint64_t parentId,
                   std::uint16_t shard, std::uint16_t replica)
@@ -1187,9 +1173,9 @@ Fanout::onReply(const net::Message &reply)
 {
     // Every reply teaches the streaming estimator, losers included —
     // they are real observations of the tier's service behaviour.
-    // Only consumers of the estimate (Adaptive hedging, the breaker
-    // latency trip) pay for the update: this is a per-reply hot path.
-    if (policy_ == HedgePolicy::Adaptive || breakerLatency_) {
+    // Only Adaptive hedging consumes the estimate, so only it pays
+    // for the update: this is a per-reply hot path.
+    if (policy_ == HedgePolicy::Adaptive) {
         replyP95_.observe(static_cast<double>(graph_.sim().now() -
                                               reply.appSendTime));
         graph_.mutableStats()
@@ -1220,10 +1206,8 @@ Fanout::onReply(const net::Message &reply)
         ++graph_.mutableStats().hedgesCancelled;
     if (retryEnabled_)
         graph_.sim().cancel(l.deadline);
-    if (!breakers_.empty()) {
-        noteBreakerSuccess(reply.replica,
-                           graph_.sim().now() - reply.appSendTime);
-    }
+    if (!breakers_.empty())
+        breakers_[static_cast<std::size_t>(reply.replica)].onSuccess();
 
     // Flight recorder: the winning reply closes the lane's
     // sub-request span (opened at scatter, on this same parent

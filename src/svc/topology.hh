@@ -842,10 +842,6 @@ class Fanout
     /** Failure evidence against @p replica (counts breaker opens). */
     void noteBreakerFailure(int replica);
 
-    /** An accepted reply from @p replica took @p rtt: success, or —
-     *  when the latency trip is armed and the estimator warm — a
-     *  too-slow failure. */
-    void noteBreakerSuccess(int replica, Time rtt);
     bool admitTied(std::uint32_t token, std::uint64_t parentId,
                    std::uint16_t shard, std::uint16_t replica);
     void onReply(const net::Message &reply);
@@ -899,8 +895,6 @@ class Fanout
     bool retryEnabled_ = false;
     /** retry.deadline clamped into Message::deadlineNs's 32 bits. */
     std::uint32_t subDeadlineNs_ = 0;
-    /** Latency-tripped breakers consume the streaming p95. */
-    bool breakerLatency_ = false;
     /** Token bucket limiting retry volume. */
     RetryBudget budget_;
     /** Per-replica breakers (empty when breakers are off). */

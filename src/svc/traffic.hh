@@ -86,9 +86,8 @@ struct AdmissionPolicy
 
 /**
  * Per-replica circuit breaker on a fan-out edge: after
- * failureThreshold consecutive failures (deadline expiries, or
- * replies slower than latencyFactor x the observed streaming p95)
- * the breaker opens and the sender routes around the replica; after
+ * failureThreshold consecutive failures (deadline expiries) the
+ * breaker opens and the sender routes around the replica; after
  * cooldown a single half-open probe is let through, and its outcome
  * closes or re-opens the breaker.
  */
@@ -98,13 +97,6 @@ struct BreakerPolicy
     int failureThreshold = 0;
     /** Open duration before the half-open probe. */
     Time cooldown = msec(5);
-    /**
-     * Optional latency trip: count an accepted reply slower than
-     * this multiple of the fan-out's streaming p95 as a failure
-     * (0 = failures come from deadline expiries only). Only consulted
-     * once the estimator is warm.
-     */
-    double latencyFactor = 0;
 
     bool enabled() const { return failureThreshold > 0; }
 };

@@ -9,8 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/scenario.hh"
-
 namespace tpv {
 namespace core {
 namespace {
@@ -157,19 +155,6 @@ TEST(CacheGrid, SweepLabelsNameTheShapes)
     EXPECT_EQ(grid.configs(),
               (std::vector<std::string>{"HP/nocache",
                                         "HP/z0.99k64Kc4K-lru"}));
-}
-
-TEST(CacheGrid, ScenarioLabelsNameTheCacheAxis)
-{
-    // cacheScenarios() rows carry the cache shape in their topology
-    // label so reports can tell the rows apart.
-    bool sawCacheLabel = false;
-    for (const auto &s : cacheScenarios()) {
-        EXPECT_EQ(s.sections, "cache extension");
-        if (s.label().find("c16K-lru") != std::string::npos)
-            sawCacheLabel = true;
-    }
-    EXPECT_TRUE(sawCacheLabel);
 }
 
 } // namespace

@@ -68,18 +68,6 @@ TEST(Study, ConfidentOrderingDetectsSeparation)
               +1);
 }
 
-TEST(TableReporter, CsvRoundTrip)
-{
-    TableReporter t("demo");
-    t.header({"qps", "LP", "HP"});
-    t.row("10K", {91.0, 43.0});
-    t.row("50K", {70.5, 43.2});
-    const std::string csv = t.csv();
-    EXPECT_NE(csv.find("qps,LP,HP"), std::string::npos);
-    EXPECT_NE(csv.find("10K,91,43"), std::string::npos);
-    EXPECT_NE(csv.find("50K,70.5,43.2"), std::string::npos);
-}
-
 TEST(TableReporterDeathTest, RowWidthMustMatchHeader)
 {
     TableReporter t("demo");

@@ -142,13 +142,6 @@ TEST(Rng, LognormalZeroSdIsConstant)
     EXPECT_DOUBLE_EQ(rng.lognormalMeanSd(12.0, 0.0), 12.0);
 }
 
-TEST(Rng, ParetoRespectsScale)
-{
-    Rng rng(37);
-    for (int i = 0; i < 10000; ++i)
-        EXPECT_GE(rng.pareto(3.0, 2.0), 3.0);
-}
-
 TEST(Rng, GeneralizedParetoZeroShapeIsExponential)
 {
     Rng rng(41);

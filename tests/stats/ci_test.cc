@@ -4,11 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "sim/random.hh"
-#include "stats/descriptive.hh"
 
 namespace tpv {
 namespace stats {
@@ -83,105 +81,6 @@ TEST(NonparametricCI, CoversTrueMedianAtNominalRate)
             ++covered;
     }
     EXPECT_GE(covered, trials * 90 / 100);
-}
-
-TEST(ParametricCI, HalfWidthFormula)
-{
-    // mean 0, sd 1, n = 100 -> half width = 1.96/10 (paper's z).
-    Rng rng(77);
-    std::vector<double> xs = ramp(3); // replaced below
-    xs.clear();
-    for (int i = 0; i < 100; ++i)
-        xs.push_back(rng.normal(0, 1));
-    auto ci = parametricMeanCI(xs, 0.95);
-    const double s = stdev(xs);
-    EXPECT_NEAR(ci.upper - ci.center, 1.959963984540054 * s / 10.0, 1e-9);
-}
-
-TEST(ParametricCI, CenteredOnMean)
-{
-    std::vector<double> xs{1, 2, 3, 4, 5};
-    auto ci = parametricMeanCI(xs);
-    EXPECT_DOUBLE_EQ(ci.center, 3.0);
-    EXPECT_NEAR(ci.center - ci.lower, ci.upper - ci.center, 1e-12);
-}
-
-TEST(TMeanCI, WiderThanZForSmallN)
-{
-    std::vector<double> xs{1, 2, 3, 4, 5};
-    auto zci = parametricMeanCI(xs);
-    auto tci = tMeanCI(xs);
-    EXPECT_LT(tci.lower, zci.lower);
-    EXPECT_GT(tci.upper, zci.upper);
-}
-
-TEST(TMeanCI, ConvergesToZForLargeN)
-{
-    Rng rng(99);
-    std::vector<double> xs;
-    for (int i = 0; i < 5000; ++i)
-        xs.push_back(rng.normal(10, 2));
-    auto zci = parametricMeanCI(xs);
-    auto tci = tMeanCI(xs);
-    EXPECT_NEAR(tci.lower, zci.lower, 1e-3);
-    EXPECT_NEAR(tci.upper, zci.upper, 1e-3);
-}
-
-TEST(BootstrapCI, CoversTrueMedianAtNominalRate)
-{
-    Rng rng(321);
-    int covered = 0;
-    const int trials = 150;
-    for (int t = 0; t < trials; ++t) {
-        std::vector<double> xs;
-        for (int i = 0; i < 50; ++i)
-            xs.push_back(rng.normal(100, 15));
-        if (bootstrapMedianCI(xs, 0.95, 400,
-                              static_cast<std::uint64_t>(t) + 1)
-                .contains(100.0))
-            ++covered;
-    }
-    EXPECT_GE(covered, trials * 85 / 100);
-}
-
-TEST(BootstrapCI, AgreesWithOrderStatisticInterval)
-{
-    // The two distribution-free constructions should roughly agree on
-    // well-behaved data.
-    Rng rng(33);
-    std::vector<double> xs;
-    for (int i = 0; i < 80; ++i)
-        xs.push_back(rng.normal(100, 10));
-    auto boot = bootstrapMedianCI(xs);
-    auto order = nonparametricMedianCI(xs);
-    EXPECT_LT(std::abs(boot.lower - order.lower), 4.0);
-    EXPECT_LT(std::abs(boot.upper - order.upper), 4.0);
-}
-
-TEST(BootstrapCI, DeterministicForFixedSeed)
-{
-    std::vector<double> xs{5, 1, 9, 3, 7, 2, 8, 4, 6, 10};
-    auto a = bootstrapMedianCI(xs, 0.95, 500, 7);
-    auto b = bootstrapMedianCI(xs, 0.95, 500, 7);
-    EXPECT_DOUBLE_EQ(a.lower, b.lower);
-    EXPECT_DOUBLE_EQ(a.upper, b.upper);
-}
-
-TEST(BootstrapCI, CenterInsideInterval)
-{
-    std::vector<double> xs{1, 2, 2, 3, 100};
-    auto ci = bootstrapMedianCI(xs);
-    EXPECT_LE(ci.lower, ci.center);
-    EXPECT_GE(ci.upper, ci.center);
-}
-
-TEST(ConfInterval, RelativeError)
-{
-    ConfInterval ci;
-    ci.lower = 99;
-    ci.upper = 101;
-    ci.center = 100;
-    EXPECT_NEAR(ci.relativeError(), 0.01, 1e-12);
 }
 
 TEST(ConfInterval, OverlapDetection)

@@ -56,15 +56,6 @@ TEST(Autocorrelation, ConstantSeriesDefinedAsZero)
     EXPECT_DOUBLE_EQ(autocorrelation(xs, 1), 0.0);
 }
 
-TEST(Acf, LengthAndConsistency)
-{
-    auto xs = whiteNoise(200, 5);
-    auto r = acf(xs, 10);
-    ASSERT_EQ(r.size(), 10u);
-    EXPECT_DOUBLE_EQ(r[0], autocorrelation(xs, 1));
-    EXPECT_DOUBLE_EQ(r[9], autocorrelation(xs, 10));
-}
-
 TEST(LooksIndependent, AcceptsWhiteNoise)
 {
     EXPECT_TRUE(looksIndependent(whiteNoise(500, 6)));
@@ -77,39 +68,6 @@ TEST(LooksIndependent, RejectsRandomWalk)
     for (int i = 0; i < 499; ++i)
         xs.push_back(xs.back() + rng.normal(0, 1));
     EXPECT_FALSE(looksIndependent(xs));
-}
-
-TEST(LagPairs, PairsAreShiftedCopies)
-{
-    std::vector<double> xs{1, 2, 3, 4, 5};
-    auto pairs = lagPairs(xs, 2);
-    ASSERT_EQ(pairs.size(), 3u);
-    EXPECT_EQ(pairs[0], std::make_pair(1.0, 3.0));
-    EXPECT_EQ(pairs[2], std::make_pair(3.0, 5.0));
-}
-
-TEST(TurningPoint, CountsExtremaOfZigzag)
-{
-    // 1,3,2,4,3,5 -> every interior point is a turning point.
-    std::vector<double> xs{1, 3, 2, 4, 3, 5};
-    auto r = turningPointTest(xs);
-    EXPECT_EQ(r.turningPoints, 4u);
-}
-
-TEST(TurningPoint, MonotoneSeriesHasNone)
-{
-    std::vector<double> xs{1, 2, 3, 4, 5, 6, 7, 8};
-    auto r = turningPointTest(xs);
-    EXPECT_EQ(r.turningPoints, 0u);
-    EXPECT_LT(r.pValue, 0.05); // clearly non-random
-}
-
-TEST(TurningPoint, WhiteNoisePasses)
-{
-    auto r = turningPointTest(whiteNoise(500, 8));
-    EXPECT_GT(r.pValue, 0.05);
-    EXPECT_NEAR(static_cast<double>(r.turningPoints), r.expected,
-                4.0 * std::sqrt((16.0 * 500 - 29.0) / 90.0));
 }
 
 TEST(Spearman, PerfectMonotoneRelationship)
@@ -199,23 +157,6 @@ TEST(DickeyFuller, RandomWalkNotStationary)
     EXPECT_FALSE(r.stationaryAt5());
 }
 
-TEST(AndersonDarling, NormalDataPasses)
-{
-    auto xs = whiteNoise(200, 14);
-    auto r = andersonDarlingNormal(xs);
-    EXPECT_TRUE(r.passesAt(0.05));
-}
-
-TEST(AndersonDarling, ExponentialDataFailsNormality)
-{
-    Rng rng(15);
-    std::vector<double> xs;
-    for (int i = 0; i < 200; ++i)
-        xs.push_back(rng.exponential(5));
-    auto r = andersonDarlingNormal(xs);
-    EXPECT_FALSE(r.passesAt(0.05));
-}
-
 TEST(AndersonDarling, ExponentialFitAccepted)
 {
     Rng rng(16);
@@ -231,7 +172,7 @@ TEST(AndersonDarling, UniformDataRejectedAsExponential)
     Rng rng(17);
     std::vector<double> xs;
     for (int i = 0; i < 300; ++i)
-        xs.push_back(rng.uniform(10, 11));
+        xs.push_back(10 + rng.uniform01());
     auto r = andersonDarlingExponential(xs);
     EXPECT_FALSE(r.exponentialAt5());
 }

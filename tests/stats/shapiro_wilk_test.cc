@@ -166,7 +166,7 @@ TEST(ShapiroWilk, WStatisticWithinUnitInterval)
         std::vector<double> xs;
         const int n = 3 + static_cast<int>(rng.uniformInt(0, 97));
         for (int i = 0; i < n; ++i)
-            xs.push_back(rng.uniform(0, 100));
+            xs.push_back(100 * rng.uniform01());
         auto r = shapiroWilk(xs);
         EXPECT_GT(r.w, 0.0);
         EXPECT_LE(r.w, 1.0);

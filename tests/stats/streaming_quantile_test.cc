@@ -39,39 +39,13 @@ TEST(StreamingQuantile, EmptyAndBootstrap)
     EXPECT_EQ(est.count(), 3u);
 }
 
-TEST(StreamingQuantile, WarmupIsExplicit)
-{
-    // Consumers gating decisions on the estimate (the breaker's
-    // latency trip, adaptive hedging) need to know when it is still
-    // the bootstrap fallback: isWarm() flips exactly when the P^2
-    // markers exist, at the fifth observation.
-    StreamingQuantile est(0.95);
-    EXPECT_FALSE(est.isWarm());
-    EXPECT_EQ(est.estimate(), 0.0); // n=0: nothing to report
-    const double xs[] = {5.0, 2.0, 9.0, 4.0};
-    double maxSeen = 0.0;
-    for (double x : xs) {
-        est.observe(x);
-        maxSeen = std::max(maxSeen, x);
-        EXPECT_FALSE(est.isWarm());
-        // n in 1..4: the conservative max-so-far stand-in.
-        EXPECT_EQ(est.estimate(), maxSeen);
-    }
-    est.observe(1.0);
-    EXPECT_TRUE(est.isWarm());
-    EXPECT_EQ(est.count(), 5u);
-    // Warm now: a real marker-based estimate, bounded by the sample.
-    EXPECT_GE(est.estimate(), 1.0);
-    EXPECT_LE(est.estimate(), 9.0);
-}
-
 TEST(StreamingQuantile, ConvergesOnUniformStream)
 {
     // Uniform [0, 1000): p95 should land near 950.
     StreamingQuantile est(0.95);
     Rng rng(7);
     for (int i = 0; i < 20000; ++i)
-        est.observe(rng.uniform(0.0, 1000.0));
+        est.observe(1000.0 * rng.uniform01());
     EXPECT_NEAR(est.estimate(), 950.0, 15.0);
 }
 
@@ -96,7 +70,7 @@ TEST(StreamingQuantile, MedianToo)
     StreamingQuantile est(0.5);
     Rng rng(3);
     for (int i = 0; i < 10000; ++i)
-        est.observe(rng.uniform(0.0, 100.0));
+        est.observe(100.0 * rng.uniform01());
     EXPECT_NEAR(est.estimate(), 50.0, 3.0);
 }
 

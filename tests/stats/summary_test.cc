@@ -24,12 +24,6 @@ TEST(Descriptive, StdevMatchesHandComputation)
     EXPECT_NEAR(stdev(xs), std::sqrt(32.0 / 7.0), 1e-12);
 }
 
-TEST(Descriptive, PopulationVariance)
-{
-    std::vector<double> xs{2, 4, 4, 4, 5, 5, 7, 9};
-    EXPECT_NEAR(populationVariance(xs), 4.0, 1e-12);
-}
-
 TEST(Descriptive, MinMax)
 {
     std::vector<double> xs{3, -1, 7, 0};
@@ -129,17 +123,6 @@ TEST(Descriptive, SummaryOfSortedMatchesSummaryOf)
     EXPECT_DOUBLE_EQ(a.p90, b.p90);
     EXPECT_DOUBLE_EQ(a.p95, b.p95);
     EXPECT_DOUBLE_EQ(a.p99, b.p99);
-}
-
-TEST(Descriptive, TrimmedMeanDropsTails)
-{
-    // 10% trim on 10 samples drops exactly the min and the max.
-    std::vector<double> xs{1000, 2, 3, 4, 5, 6, 7, 8, 9, -1000};
-    EXPECT_DOUBLE_EQ(trimmedMean(xs, 0.10), 5.5);
-    // Zero trim is the plain mean.
-    EXPECT_DOUBLE_EQ(trimmedMean(xs, 0.0), mean(xs));
-    // The floor: trimming less than one sample's worth drops nothing.
-    EXPECT_DOUBLE_EQ(trimmedMean(xs, 0.05), mean(xs));
 }
 
 /** Percentile must be monotone in p — property sweep. */
