@@ -1,10 +1,11 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the substrates: event queue
- * throughput, RNG draws, statistics kernels, and a full
- * simulated-second of the memcached experiment. These guard the
- * simulator's wall-clock cost, which caps how much of the paper's
- * 2-minute x 50-run protocol is affordable.
+ * throughput, the hardware model's per-idle and per-wake steps, RNG
+ * draws, statistics kernels, and a full simulated-second of the
+ * memcached experiment. These guard the simulator's wall-clock cost,
+ * which caps how much of the paper's 2-minute x 50-run protocol is
+ * affordable.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,9 @@
 #include "alloc_counter.hh"
 
 #include "core/experiment.hh"
+#include "hw/cstate.hh"
+#include "hw/idle_governor.hh"
+#include "hw/machine.hh"
 #include "net/message.hh"
 #include "sim/event_queue.hh"
 #include "sim/fixed_containers.hh"
@@ -171,6 +175,46 @@ BM_EventQueueCancelHeavy(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_EventQueueCancelHeavy);
+
+/**
+ * Menu-governor C-state choice on a full bimodal window (20 us
+ * response waits interleaved with 1 ms send gaps), which takes the
+ * window estimate through four discard rounds: the step every idle
+ * entry of a sleeping client core runs.
+ */
+void
+BM_MenuGovernorChoose(benchmark::State &state)
+{
+    const hw::CStateTable table(hw::HwConfig::clientLP());
+    hw::MenuGovernor g(table);
+    for (int i = 0; i < 4; ++i) {
+        g.recordIdle(usec(20));
+        g.recordIdle(msec(1));
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(g.choose(kTimeNever));
+}
+BENCHMARK(BM_MenuGovernorChoose);
+
+/**
+ * One core of a 10-core Performance+turbo machine (the HP client,
+ * tickless so the queue drains) going busy and idle again: a submit,
+ * its completion event and two active-core changes per iteration.
+ */
+void
+BM_MachineActiveToggle(benchmark::State &state)
+{
+    Simulator sim;
+    hw::HwConfig cfg = hw::HwConfig::clientHP();
+    cfg.tickless = true;
+    hw::Machine m(sim, cfg);
+    for (auto _ : state) {
+        m.thread(0).submit(usec(1), nullptr);
+        benchmark::DoNotOptimize(sim.run());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MachineActiveToggle);
 
 void
 BM_RngExponential(benchmark::State &state)

@@ -34,13 +34,14 @@ FreqDomain::maxAvailableGhz() const
         return cfg_->nominalGhz;
     // Active-core turbo bins: few busy cores get full turbo, half-busy
     // machines an intermediate bin, saturated machines nominal.
-    const int active = activeCores_();
-    const int total = cfg_->cores;
-    if (active * 4 <= total)
+    switch (turboBin(activeCores_(), cfg_->cores)) {
+      case 0:
         return cfg_->turboGhz;
-    if (active * 2 <= total)
+      case 1:
         return 0.5 * (cfg_->turboGhz + cfg_->nominalGhz);
-    return cfg_->nominalGhz;
+      default:
+        return cfg_->nominalGhz;
+    }
 }
 
 void

@@ -66,10 +66,26 @@ class FreqDomain
     double utilization() const { return util_; }
 
     /**
-     * The machine's active-core count changed: re-evaluate the turbo
-     * bin for max-frequency governors.
+     * The machine's turbo bin changed: a Performance core moves to the
+     * new bin's frequency. Other governors read the bin at their next
+     * wake or ramp instead. Machine calls this only when turboBin()
+     * moves, since a Performance core's frequency depends on nothing
+     * else.
      */
     void refreshTarget();
+
+    /**
+     * Active-core turbo bin for @p active busy cores out of @p total:
+     * 0 (full turbo) up to a quarter busy, 1 (half-way bin) up to
+     * half, 2 (nominal) beyond.
+     */
+    static int
+    turboBin(int active, int total)
+    {
+        if (active * 4 <= total)
+            return 0;
+        return active * 2 <= total ? 1 : 2;
+    }
 
     /** Number of frequency transitions performed. */
     std::uint64_t transitions() const { return transitions_; }

@@ -35,19 +35,29 @@ MenuGovernor::typicalInterval() const
     // interleaved with long inter-send gaps), this converges on the
     // *short* cluster — the governor hedges toward shallow states
     // when interrupts keep cutting sleeps short.
-    std::array<double, kWindow> vals{};
+    //
+    // Idle durations are whole nanoseconds far below 2^53, so the
+    // running integer sum equals the in-order double sum exactly, and
+    // each round needs a single pass over vals: the variance sum (in
+    // the same index order, so bit-identical) fused with the scan for
+    // the first largest value.
+    std::array<Time, kWindow> vals = history_;
     std::size_t n = histCount_;
+    Time sum = 0;
     for (std::size_t i = 0; i < n; ++i)
-        vals[i] = static_cast<double>(history_[i]);
+        sum += vals[i];
 
     for (int pass = 0; pass < 8 && n >= 2; ++pass) {
-        double sum = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            sum += vals[i];
-        const double avg = sum / static_cast<double>(n);
+        const double avg =
+            static_cast<double>(sum) / static_cast<double>(n);
         double var = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            var += (vals[i] - avg) * (vals[i] - avg);
+        std::size_t maxIdx = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double d = static_cast<double>(vals[i]) - avg;
+            var += d * d;
+            if (vals[i] > vals[maxIdx])
+                maxIdx = i;
+        }
         var /= static_cast<double>(n);
         // Consistent enough: stddev within a third of the average
         // (menu uses avg > 6 * stddev^2 heuristics; this captures the
@@ -55,18 +65,12 @@ MenuGovernor::typicalInterval() const
         if (var <= (avg / 3.0) * (avg / 3.0))
             return static_cast<Time>(avg);
         // Drop the largest value and retry.
-        std::size_t maxIdx = 0;
-        for (std::size_t i = 1; i < n; ++i) {
-            if (vals[i] > vals[maxIdx])
-                maxIdx = i;
-        }
+        sum -= vals[maxIdx];
         vals[maxIdx] = vals[n - 1];
         --n;
     }
-    double sum = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        sum += vals[i];
-    return static_cast<Time>(sum / static_cast<double>(n ? n : 1));
+    return static_cast<Time>(static_cast<double>(sum) /
+                             static_cast<double>(n ? n : 1));
 }
 
 } // namespace hw

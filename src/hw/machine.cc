@@ -131,8 +131,15 @@ Machine::onCoreActiveChanged(int delta)
                "active core count out of range: ", activeCores_);
     if (delta > 0)
         lastPackageActivity_ = sim_.now();
-    // Active-core turbo bins may shift for every core on the package.
+    // A Performance core's frequency depends only on the turbo bin, so
+    // only a bin change re-targets the package. The first change always
+    // does: each FreqDomain was built while activeCores_ was still 0,
+    // before the constructor counted every core active.
     if (cfg_.turbo) {
+        const int bin = FreqDomain::turboBin(activeCores_, cfg_.cores);
+        if (bin == turboBin_)
+            return;
+        turboBin_ = bin;
         for (auto &c : cores_)
             c->freq().refreshTarget();
     }

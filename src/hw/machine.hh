@@ -138,7 +138,10 @@ class Machine
   private:
     friend class Core;
 
-    /** Core active-count bookkeeping; refreshes turbo bins. */
+    /**
+     * Core active-count bookkeeping; re-targets every core's frequency
+     * when the count moves the turbo bin.
+     */
     void onCoreActiveChanged(int delta);
 
     /** Uncore DVFS penalty for I/O hitting an idle package. */
@@ -153,6 +156,11 @@ class Machine
     std::string name_;
     std::vector<std::unique_ptr<Core>> cores_;
     int activeCores_ = 0;
+    /**
+     * Turbo bin the cores were last re-targeted to; -1 until the first
+     * active-core change, so that change always re-targets.
+     */
+    int turboBin_ = -1;
     int simDomain_ = 0;
     bool frozen_ = false;
     Time lastPackageActivity_ = 0;

@@ -8,43 +8,12 @@
 namespace tpv {
 
 EventHandle
-EventQueue::schedule(Time when, Callback cb)
+EventQueue::scheduleSeq(Time when, std::uint64_t seq, Callback &&cb)
 {
     TPV_ASSERT(cb != nullptr, "scheduling a null callback");
     // Entry::key() reinterprets the time as unsigned for the
     // branchless heap compare; negative times would silently sort
     // last instead of first, so reject them at the door.
-    TPV_ASSERT(when >= 0, "scheduling at negative time ", when);
-
-    std::uint32_t slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-    } else {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-        // The free list can never outgrow the slot table, so sizing
-        // it alongside keeps runNext()'s push_back allocation-free:
-        // without this its capacity high-water (max simultaneously
-        // free slots) creeps up long after the slot count stops.
-        freeSlots_.reserve(slots_.capacity());
-    }
-
-    Slot &s = slots_[slot];
-    s.cb = std::move(cb);
-    s.active = true;
-    ++s.gen;
-
-    heap_.push_back(Entry{when, nextSeq_++, slot, s.gen});
-    siftUp(heap_.size() - 1);
-    ++live_;
-    return EventHandle{slot, s.gen};
-}
-
-EventHandle
-EventQueue::scheduleSeq(Time when, std::uint64_t seq, Callback cb)
-{
-    TPV_ASSERT(cb != nullptr, "scheduling a null callback");
     TPV_ASSERT(when >= 0, "scheduling at negative time ", when);
 
     std::uint32_t slot;
@@ -90,13 +59,6 @@ EventQueue::cancel(EventHandle h)
     if (heap_.size() - live_ > live_ && heap_.size() > 64)
         compact();
     return true;
-}
-
-bool
-EventQueue::pending(EventHandle h) const
-{
-    return h.valid() && h.slot < slots_.size() &&
-           slots_[h.slot].gen == h.gen && slots_[h.slot].active;
 }
 
 void

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_function.hh"
@@ -65,11 +66,17 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
 
     /**
-     * Schedule @p cb to run at absolute time @p when.
+     * Schedule @p cb to run at absolute time @p when. The callback is
+     * taken by reference and moved straight into its slot, so a
+     * capture is relocated once per scheduled event.
      * @pre when >= 0 (the heap's packed key is unsigned).
      * @return a handle that can cancel the event before it fires.
      */
-    EventHandle schedule(Time when, Callback cb);
+    EventHandle
+    schedule(Time when, Callback &&cb)
+    {
+        return scheduleSeq(when, nextSeq_++, std::move(cb));
+    }
 
     /**
      * Schedule with an explicit ordering key instead of the queue's
@@ -79,7 +86,7 @@ class EventQueue
      * the thread interleaving that filled it. Callers own uniqueness;
      * the plain schedule() counter is not advanced.
      */
-    EventHandle scheduleSeq(Time when, std::uint64_t seq, Callback cb);
+    EventHandle scheduleSeq(Time when, std::uint64_t seq, Callback &&cb);
 
     /**
      * Cancel a previously scheduled event.
@@ -88,7 +95,12 @@ class EventQueue
     bool cancel(EventHandle h);
 
     /** @return true if a handle refers to a still-pending event. */
-    bool pending(EventHandle h) const;
+    bool
+    pending(EventHandle h) const
+    {
+        return h.valid() && h.slot < slots_.size() &&
+               slots_[h.slot].gen == h.gen && slots_[h.slot].active;
+    }
 
     /** @return true when no live events remain. */
     bool empty() const { return live_ == 0; }

@@ -11,18 +11,15 @@ Simulator::Simulator() = default;
 Simulator::~Simulator() = default;
 
 Time
-Simulator::now() const
+Simulator::partNow() const
 {
-    return part_ ? part_->now() : now_;
+    return part_->now();
 }
 
 EventHandle
-Simulator::schedule(Time delay, EventQueue::Callback cb)
+Simulator::partSchedule(Time delay, EventQueue::Callback &&cb)
 {
-    if (part_)
-        return part_->schedule(delay, std::move(cb));
-    TPV_ASSERT(delay >= 0, "negative delay ", delay);
-    return queue_.schedule(now_ + delay, std::move(cb));
+    return part_->schedule(delay, std::move(cb));
 }
 
 EventHandle
@@ -46,15 +43,15 @@ Simulator::atDomain(int domain, Time when, EventQueue::Callback cb)
 }
 
 bool
-Simulator::cancel(EventHandle h)
+Simulator::partCancel(EventHandle h)
 {
-    return part_ ? part_->cancel(h) : queue_.cancel(h);
+    return part_->cancel(h);
 }
 
 bool
-Simulator::pending(EventHandle h) const
+Simulator::partPending(EventHandle h) const
 {
-    return part_ ? part_->pending(h) : queue_.pending(h);
+    return part_->pending(h);
 }
 
 std::size_t

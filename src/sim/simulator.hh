@@ -14,8 +14,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "sim/event_queue.hh"
+#include "sim/logging.hh"
 #include "sim/time.hh"
 
 namespace tpv {
@@ -45,13 +47,20 @@ class Simulator
 
     /** Current simulated time (the calling domain's clock when
      *  partitioned). */
-    Time now() const;
+    Time now() const { return part_ ? partNow() : now_; }
 
     /**
      * Schedule @p cb to run @p delay after now().
      * @pre delay >= 0
      */
-    EventHandle schedule(Time delay, EventQueue::Callback cb);
+    EventHandle
+    schedule(Time delay, EventQueue::Callback cb)
+    {
+        if (part_)
+            return partSchedule(delay, std::move(cb));
+        TPV_ASSERT(delay >= 0, "negative delay ", delay);
+        return queue_.schedule(now_ + delay, std::move(cb));
+    }
 
     /**
      * Schedule @p cb at absolute time @p when.
@@ -69,10 +78,18 @@ class Simulator
     EventHandle atDomain(int domain, Time when, EventQueue::Callback cb);
 
     /** Cancel a pending event. @return true if it was still pending. */
-    bool cancel(EventHandle h);
+    bool
+    cancel(EventHandle h)
+    {
+        return part_ ? partCancel(h) : queue_.cancel(h);
+    }
 
     /** @return true if @p h refers to a still-pending event. */
-    bool pending(EventHandle h) const;
+    bool
+    pending(EventHandle h) const
+    {
+        return part_ ? partPending(h) : queue_.pending(h);
+    }
 
     /**
      * Run until the queue drains or stop() is called.
@@ -138,6 +155,14 @@ class Simulator
     PartitionedEngine *partition() { return part_.get(); }
 
   private:
+    // The partitioned engine's side of the accessors above, kept out
+    // of line so the serial path inlines without PartitionedEngine's
+    // definition.
+    Time partNow() const;
+    EventHandle partSchedule(Time delay, EventQueue::Callback &&cb);
+    bool partCancel(EventHandle h);
+    bool partPending(EventHandle h) const;
+
     EventQueue queue_;
     Time now_ = 0;
     bool stopRequested_ = false;

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <random>
+
 namespace tpv {
 namespace hw {
 namespace {
@@ -124,6 +129,105 @@ TEST(MenuGovernor, MixedHistoryTracksTypicalInterval)
     auto &chosen = g.choose(msec(1));
     EXPECT_EQ(chosen.state, CState::C1E);
     EXPECT_EQ(g.lastPrediction(), usec(40));
+}
+
+/**
+ * The two-pass formulation of the governor's window estimate (a fresh
+ * double sum, a variance pass and an arg-max pass per round), kept
+ * verbatim as the reference the one-pass governor must match bit for
+ * bit. @p history is the governor's ring as recordIdle() fills it.
+ */
+Time
+referenceTypicalInterval(const std::array<Time, 8> &history,
+                         std::size_t histCount)
+{
+    constexpr std::size_t kWindow = 8;
+    std::array<double, kWindow> vals{};
+    std::size_t n = histCount;
+    for (std::size_t i = 0; i < n; ++i)
+        vals[i] = static_cast<double>(history[i]);
+
+    for (int pass = 0; pass < 8 && n >= 2; ++pass) {
+        double sum = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            sum += vals[i];
+        const double avg = sum / static_cast<double>(n);
+        double var = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            var += (vals[i] - avg) * (vals[i] - avg);
+        var /= static_cast<double>(n);
+        // Consistent enough: stddev within a third of the average
+        // (menu uses avg > 6 * stddev^2 heuristics; this captures the
+        // same "accept when unimodal" intent).
+        if (var <= (avg / 3.0) * (avg / 3.0))
+            return static_cast<Time>(avg);
+        // Drop the largest value and retry.
+        std::size_t maxIdx = 0;
+        for (std::size_t i = 1; i < n; ++i) {
+            if (vals[i] > vals[maxIdx])
+                maxIdx = i;
+        }
+        vals[maxIdx] = vals[n - 1];
+        --n;
+    }
+    double sum = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        sum += vals[i];
+    return static_cast<Time>(sum / static_cast<double>(n ? n : 1));
+}
+
+TEST(MenuGovernor, OnePassEstimateMatchesTwoPassReference)
+{
+    CStateTable t = lpTable();
+    std::mt19937_64 rng(20240917);
+    const auto below = [&rng](std::uint64_t bound) {
+        return static_cast<Time>(rng() % bound);
+    };
+    // History shapes: uniform, bimodal 20 us / 1 ms (half of them with
+    // a few ns of jitter), all-equal, and few distinct values so the
+    // maximum is duplicated.
+    const auto draw = [&](int shape, Time equal) -> Time {
+        switch (shape) {
+          case 0:
+            return below(static_cast<std::uint64_t>(msec(2)) + 1);
+          case 1: {
+            const Time base = rng() % 2 ? usec(20) : msec(1);
+            return rng() % 2 ? base : base + below(64);
+          }
+          case 2:
+            return equal;
+          default: {
+            static constexpr Time kLevels[] = {usec(5), usec(20),
+                                               usec(300), msec(1)};
+            return kLevels[rng() % 4];
+          }
+        }
+    };
+
+    constexpr int kPerShape = 30000;
+    int checked = 0;
+    for (int shape = 0; shape < 4; ++shape) {
+        for (int rep = 0; rep < kPerShape; ++rep) {
+            MenuGovernor g(t);
+            std::array<Time, 8> ring{};
+            // 1-8 samples fill the window partway or exactly; 9-12
+            // wrap the ring so its oldest slots are overwritten.
+            const std::size_t records = 1 + rep % 12;
+            const Time equal = 1 + below(static_cast<std::uint64_t>(msec(2)));
+            for (std::size_t r = 0; r < records; ++r) {
+                const Time v = draw(shape, equal);
+                ring[r % 8] = v;
+                g.recordIdle(v);
+            }
+            const std::size_t fill = records < 8 ? records : 8;
+            g.choose(kTimeNever);
+            ASSERT_EQ(g.lastPrediction(),
+                      referenceTypicalInterval(ring, fill))
+                << "shape " << shape << " rep " << rep;
+            ++checked;
+        }
+    }
+    EXPECT_GE(checked, 100000);
 }
 
 } // namespace

@@ -177,6 +177,49 @@ TEST(Machine, TurboBinsRespondToLoad)
     EXPECT_DOUBLE_EQ(m.core(0).freq().currentGhz(), cfg.nominalGhz);
 }
 
+TEST(Machine, TurboRetargetsEveryCoreOnBinChanges)
+{
+    // The HP client's Performance+turbo setup: 10 cores, so the bins
+    // move at 3 busy cores (half-way bin) and at 6 (nominal).
+    Simulator sim;
+    const HwConfig cfg = HwConfig::clientHP();
+    Machine m(sim, cfg);
+    const auto expectAll = [&m](double ghz, std::uint64_t transitions,
+                                const char *when) {
+        SCOPED_TRACE(when);
+        for (std::size_t i = 0; i < m.coreCount(); ++i) {
+            EXPECT_DOUBLE_EQ(m.core(i).freq().currentGhz(), ghz)
+                << "core " << i;
+            EXPECT_EQ(m.core(i).freq().transitions(), transitions)
+                << "core " << i;
+        }
+        EXPECT_EQ(m.stats().freqTransitions, transitions * m.coreCount());
+    };
+
+    // Every FreqDomain starts at full turbo (built before any core is
+    // counted active), then follows the settling count down through
+    // nominal and the half-way bin back to turbo: 3 transitions each.
+    EXPECT_EQ(m.activeCores(), 0);
+    expectAll(3.0, 3, "after construction");
+
+    for (std::size_t i = 0; i < 3; ++i)
+        m.thread(i).submit(usec(50), nullptr);
+    sim.runUntil(usec(10));
+    EXPECT_EQ(m.activeCores(), 3);
+    expectAll(2.6, 4, "3 cores busy");
+
+    for (std::size_t i = 3; i < 6; ++i)
+        m.thread(i).submit(usec(50), nullptr);
+    sim.runUntil(usec(20));
+    EXPECT_EQ(m.activeCores(), 6);
+    expectAll(2.2, 5, "6 cores busy");
+
+    // Drain before the first scheduling-clock tick (1 ms).
+    sim.runUntil(usec(200));
+    EXPECT_EQ(m.activeCores(), 0);
+    expectAll(3.0, 7, "drained");
+}
+
 } // namespace
 } // namespace hw
 } // namespace tpv
