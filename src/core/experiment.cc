@@ -7,7 +7,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
-#include "sim/partition.hh"
 #include "sim/simulator.hh"
 
 namespace tpv {
@@ -167,14 +166,10 @@ struct Relay : net::Endpoint
     }
 };
 
-/**
- * One run at a given intra-run crew size. Split from runOnce() so a
- * conservative-invariant violation (astronomically rare: a lookahead
- * shortfall or sequence-key overflow) can re-run the whole experiment
- * serially and return bit-exact serial results.
- */
+} // namespace
+
 RunResult
-runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
+runOnce(const ExperimentConfig &cfg)
 {
     Simulator sim;
     Rng rootRng(cfg.seed);
@@ -246,32 +241,22 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
     // intraThreads - 1 domains (domain 0 is the client's), and the
     // window is sized by the tightest cross-domain edge the plan
     // actually cuts — plus the client links, which always cross. Kept
-    // serial only when the crew would be size 1 or the shape is
-    // degenerate (< 2 domains, a cut edge with a zero delay floor);
-    // fault plans run partitioned (the injector homes every state
-    // flip in its owning domain) and so do non-tickless servers
-    // (their tick loops migrate into their machines' domains).
+    // serial when the crew would be size 1, when the shape is
+    // degenerate (< 2 domains, a cut edge with a zero delay floor),
+    // under a fault plan, and for non-tickless servers (their tick
+    // loops are armed on the setup queue, which the engine adopts
+    // into domain 0).
     int intraDomains = 1;
-    if (intraThreads > 1) {
+    if (cfg.intraThreads > 1 && cfg.faultPlan.empty() &&
+        cfg.server.tickless) {
         const int serviceDomains = service->planPartitions(
-            1, std::max(1, intraThreads - 1));
+            1, std::max(1, cfg.intraThreads - 1));
         const int domains = 1 + serviceDomains;
         const Time lookahead =
             std::min(net::Link::minDelayFloor(cfg.network),
                      service->minCutFloor());
-        const int threads = std::min(intraThreads, domains);
-        if (domains >= 2 && threads >= 2 && lookahead > 0 &&
-            domains < (1 << PartitionedEngine::kDomainBits)) {
-            // Pull construction-time tick loops off the setup queue
-            // before enablePartition() adopts it into domain 0, then
-            // re-home them into their machines' planned domains. The
-            // shape was checked above, so enablePartition() cannot
-            // refuse and leave the ticks detached.
-            service->detachTicks();
-            const bool enabled =
-                sim.enablePartition(domains, lookahead, threads);
-            TPV_ASSERT(enabled, "partition refused a checked shape");
-            service->attachTicks();
+        const int threads = std::min(cfg.intraThreads, domains);
+        if (sim.enablePartition(domains, lookahead, threads)) {
             service->shardStats(domains);
             intraDomains = domains;
         }
@@ -334,14 +319,12 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
     sim.runUntil(horizon);
 
     // A violated conservative invariant means the partitioned results
-    // cannot be trusted; the serial engine is always correct, so the
-    // re-run reproduces exactly what intraThreads=1 would have seen.
+    // cannot be trusted: fail loudly rather than report them.
     if (sim.partitionViolated())
-        return runOnceImpl(cfg, 1);
+        panic("partitioned run violated its conservative invariant (",
+              intraDomains, " domains, seed ", cfg.seed, ")");
 
-    // Export hook: fires once per completed run (the violated-run
-    // path above re-runs serially and exports from that run's own
-    // fresh recorders instead).
+    // Export hook: fires once per completed run.
     if (cfg.obs.sink)
         cfg.obs.sink(trace.get(), metrics.get());
 
@@ -367,14 +350,6 @@ runOnceImpl(const ExperimentConfig &cfg, int intraThreads)
     out.events = sim.executedEvents();
     out.intraDomains = intraDomains;
     return out;
-}
-
-} // namespace
-
-RunResult
-runOnce(const ExperimentConfig &cfg)
-{
-    return runOnceImpl(cfg, cfg.intraThreads);
 }
 
 } // namespace core

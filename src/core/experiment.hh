@@ -88,11 +88,11 @@ struct ExperimentConfig
      * default) keeps the classic serial engine. Values > 1 pack the
      * service graph's machine/tier groups into at most
      * intraThreads - 1 domains (domain 0 is the client's) and run
-     * bit-identical to serial — fault plans and non-tickless servers
-     * included. runOnce falls back to serial automatically only when
-     * the topology yields < 2 domains or a cut edge allows zero
-     * lookahead, and re-runs serially in the astronomically unlikely
-     * event of a conservative-invariant violation.
+     * bit-identical to serial. runOnce keeps the serial engine (and
+     * reports intraDomains 1) for a non-empty fault plan, a
+     * non-tickless server, a topology that yields < 2 domains and a
+     * cut edge that allows zero lookahead. A conservative-invariant
+     * violation panics.
      */
     int intraThreads = 1;
 

@@ -182,17 +182,13 @@ struct FaultPlan
  * the injector's rng (forked from the run seed), so serial and
  * parallel executions of a grid see identical fault timelines.
  *
- * Domain-aware: arm() replays the whole fault timeline *offline* —
- * every window begin/detect/end in serial execution order, through
- * the overlap-composition (engage) state machine — and schedules the
- * resulting concrete state flips as events homed in the domain that
- * owns the flipped state (a replica's machine for up/slowdown flips,
- * the fan-out parents' timeline for suspicion, a link's sender side
- * for degrades). A partitioned run therefore never flips another
- * domain's state mid-window, which is what lets faulty runs execute
- * on the parallel engine at all; the op decomposition is a pure
- * function of plan + topology, so serial and partitioned runs
- * execute identical event sets.
+ * arm() replays the whole fault timeline *offline* — every window
+ * begin/detect/end in serial execution order, through the
+ * overlap-composition (engage) state machine — and schedules the
+ * resulting concrete state flips as events. The op decomposition is
+ * a pure function of plan + topology, which pins the serial event
+ * order. A run with a fault plan always executes on the serial engine
+ * (core::runOnce keeps it there).
  */
 class Injector
 {
@@ -234,7 +230,7 @@ class Injector
     };
 
     /** Replay one sweep entry: advance the engage state machine and
-     *  schedule the concrete ops it implies into their domains. */
+     *  schedule the concrete ops it implies. */
     void replayBegin(const SweepEntry &e);
     void replayDetect(const SweepEntry &e);
     void replayEnd(const SweepEntry &e);

@@ -64,20 +64,6 @@ Machine::thread(std::size_t globalIdx)
 }
 
 void
-Machine::detachTicks()
-{
-    for (auto &c : cores_)
-        c->detachTick();
-}
-
-void
-Machine::attachTicks()
-{
-    for (auto &c : cores_)
-        c->attachTick();
-}
-
-void
 Machine::deliverIrq(std::size_t threadIdx, Time irqWork,
                     HwThread::Callback handler)
 {

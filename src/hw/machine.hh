@@ -118,20 +118,6 @@ class Machine
     int simDomain() const { return simDomain_; }
     void setSimDomain(int domain) { simDomain_ = domain; }
 
-    /**
-     * Tick-loop migration for partitioned runs: detachTicks() cancels
-     * every core's pending tick event (keeping its due time);
-     * attachTicks() re-arms them — via Simulator::atDomain — in this
-     * machine's simDomain(). Call detach before
-     * Simulator::enablePartition() adopts the setup queue and attach
-     * after, so a non-tickless server machine's ticks land on its own
-     * timeline instead of the client/harness domain. Core order is
-     * construction order, so re-armed events keep their serial
-     * same-instant ordering.
-     */
-    void detachTicks();
-    void attachTicks();
-
     /** Aggregated counters. */
     MachineStats stats() const;
 

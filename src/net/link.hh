@@ -64,8 +64,8 @@ class Link
      * under @p params: the base latency scaled by the lognormal
      * multiplier 12 standard normal deviations below its median
      * (P < 1e-33 per draw; the partitioned engine's merge check
-     * catches the astronomically unlikely shortfall and forces a
-     * serial re-run, so results are never wrong, merely re-computed).
+     * catches the astronomically unlikely shortfall and the run
+     * panics, so a wrong result is never reported).
      * Serialization delay is additive and non-negative, so it is
      * ignored. This is the window lookahead of the parallel engine.
      */

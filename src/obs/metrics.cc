@@ -82,8 +82,7 @@ MetricsRegistry::tick(Simulator &sim, int domain, Time period,
     const Time next = sim.now() + period;
     if (next <= until) {
         // Re-armed from inside the tick, so the event lands in the
-        // calling domain — the tick loop migrates with its domain,
-        // like the server tick loops do.
+        // calling domain: each domain's loop stays on its timeline.
         sim.at(next, [this, &sim, domain, period, until] {
             tick(sim, domain, period, until);
         });

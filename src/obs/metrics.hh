@@ -55,8 +55,8 @@ class MetricsRegistry
     /**
      * Schedule the first tick in every domain at @p period and keep
      * ticking every @p period until @p until. Call from the main
-     * thread after enablePartition() (ticks are homed with atDomain)
-     * and before the run starts.
+     * thread after enablePartition() (each domain's first tick is
+     * placed with Simulator::atDomain) and before the run starts.
      */
     void arm(Simulator &sim, Time period, Time until);
 

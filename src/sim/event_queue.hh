@@ -124,8 +124,8 @@ class EventQueue
     /**
      * Pop the earliest live event *without* running it, handing its
      * callback to the caller: the partition handoff that migrates
-     * construction-time events (non-tickless machines' tick loops)
-     * into the parallel engine's domain-0 queue. Pop order is the
+     * construction-time events (the non-tickless client machine's
+     * tick loops) into the parallel engine's domain-0 queue. Pop order is the
      * exact serial execution order, so re-scheduling in this order
      * preserves it. Outstanding handles to the event are invalidated.
      * @return the event's scheduled time.

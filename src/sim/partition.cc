@@ -178,7 +178,7 @@ PartitionedEngine::mergeAndPrepare()
             if (s.when < wend_) {
                 // The message lands inside the window it was sent in:
                 // its target may already have run past it. The
-                // lookahead bound was wrong — abort and re-run serial.
+                // lookahead bound was wrong — abort the run.
                 violated_.store(true, std::memory_order_release);
             }
             Domain &to = domains_[static_cast<std::size_t>(s.target)];

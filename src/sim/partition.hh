@@ -31,8 +31,8 @@
  * domain id); the golden-determinism tests pin that this divergence
  * does not occur in any studied scenario. A run whose scheduling
  * instant or per-instant counter overflows the field sets violated()
- * and the caller re-runs serially — correctness never depends on the
- * encoding being wide enough.
+ * and core::runOnce panics — no result ever rests on the encoding
+ * being wide enough.
  *
  * The engine is driven through the Simulator facade: components keep
  * calling sim.schedule()/now()/cancel() and are routed to the domain
@@ -135,11 +135,11 @@ class PartitionedEngine
     /**
      * Schedule at an absolute time into an *explicit* domain. Only
      * sound before the crew starts (run setup on the main thread):
-     * fault::Injector homes each state flip in the domain owning the
-     * flipped state, and tick loops are re-homed to their machines'
-     * domains. Pre-run events draw instant-0 sequence keys, so within
-     * a domain they sort before anything scheduled during the run at
-     * the same nanosecond — exactly like serial arm-time insertion.
+     * obs::MetricsRegistry::arm starts each domain's sampling loop in
+     * that domain. Pre-run events draw instant-0 sequence keys, so
+     * within a domain they sort before anything scheduled during the
+     * run at the same nanosecond — exactly like serial arm-time
+     * insertion.
      */
     EventHandle atDomain(int domain, Time when, Callback cb);
 
@@ -183,8 +183,8 @@ class PartitionedEngine
     /**
      * True when a run broke a conservative invariant (a cross-domain
      * message landed inside its send window, or the sequence encoding
-     * overflowed). Results are then untrustworthy; the caller re-runs
-     * serially.
+     * overflowed). Results are then untrustworthy; core::runOnce
+     * panics.
      */
     bool violated() const
     {

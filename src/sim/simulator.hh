@@ -70,10 +70,10 @@ class Simulator
 
     /**
      * Schedule @p cb at @p when into event-queue domain @p domain of a
-     * partitioned run (run setup only, from the main thread — fault
-     * injectors and tick re-homing use this to place events in the
-     * domain owning the touched state). Serial runs ignore the domain:
-     * there is only one timeline, so this is exactly at().
+     * partitioned run (run setup only, from the main thread —
+     * obs::MetricsRegistry::arm starts one sampling loop per domain
+     * with this). Serial runs ignore the domain: there is only one
+     * timeline, so this is exactly at().
      */
     EventHandle atDomain(int domain, Time when, EventQueue::Callback cb);
 
@@ -124,13 +124,13 @@ class Simulator
      * @p domains event-queue domains advanced by @p threads crew
      * threads in windows of @p lookahead. Call during setup, before
      * the run starts: events already scheduled are adopted into
-     * domain 0 in serial order, so the caller must first detach any
-     * event belonging to another domain (ServiceGraph::detachTicks
-     * pulls server tick loops out; attachTicks re-homes them with
-     * atDomain after this returns) and ensure no EventHandle to an
-     * adopted event is retained. Refuses degenerate shapes (fewer
-     * than 2 domains or threads, zero lookahead) by returning false —
-     * the run then just stays serial.
+     * domain 0 in serial order, so every such event must belong to
+     * domain 0 (core::runOnce keeps runs whose server machines arm
+     * tick loops at construction serial) and no EventHandle to an
+     * adopted event may be retained. Refuses degenerate shapes (fewer
+     * than 2 domains or threads, zero lookahead, too many domains for
+     * the sequence key) by returning false — the run then just stays
+     * serial.
      */
     bool enablePartition(int domains, Time lookahead, int threads);
 
@@ -139,7 +139,7 @@ class Simulator
 
     /**
      * True when the partitioned run broke a conservative invariant
-     * (results untrustworthy; the caller re-runs serially).
+     * (results untrustworthy; core::runOnce panics).
      */
     bool partitionViolated() const;
 

@@ -61,7 +61,7 @@ etcResponseBytes(const MemcachedParams &p, const net::Message &req,
  * Cache-event instant span (hit/miss/fill). The cache tier sits one
  * fan-out below the entry tier, so the sub-request's parentId IS the
  * root id; all three call sites run in the cache machine's domain
- * (workMut during dispatch, the store fan-out's completion).
+ * (the work model during dispatch, the store fan-out's completion).
  */
 void
 traceCacheEvent(ServiceGraph &g, int tier, const net::Message &msg,
@@ -166,7 +166,7 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
         // for the response hook; a miss marks the opcode so the
         // completion handler cascades to the backing store instead
         // of replying. SETs store through the cache.
-        cacheP.workMut = [this, p](net::Message &req, Rng &r) {
+        cacheP.work = [this, p](net::Message &req, Rng &r) {
             auto work = static_cast<Time>(r.lognormalMeanSd(
                 static_cast<double>(p.baseServiceTime),
                 static_cast<double>(p.serviceTimeSd)));
@@ -331,9 +331,9 @@ MemcachedCluster::MemcachedCluster(Simulator &sim,
                 // Capacity churn as global markers (kGlobalRoot): which
                 // replica/shard evicted or was flushed, not which
                 // request triggered it. Evictions run in the cache
-                // machine's domain (workMut / store completion);
-                // flushes in the fault action's, which targets the
-                // same replica.
+                // machine's domain (work model / store completion);
+                // flushes in a fault action, and fault plans always
+                // run serial.
                 caches_.back().setObserver(
                     [this, cacheTier, r, s](bool flushed) {
                         obs::TraceRecorder *tr = trace();

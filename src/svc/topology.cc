@@ -143,9 +143,8 @@ Tier::Tier(ServiceGraph &graph, std::vector<hw::Machine *> hosts,
     : graph_(graph), params_(std::move(params))
 {
     TPV_ASSERT(!hosts.empty(), "tier '", params_.name, "' needs a host");
-    TPV_ASSERT(static_cast<bool>(params_.work) ||
-                   static_cast<bool>(params_.workMut),
-               "tier '", params_.name, "' needs a work model");
+    TPV_ASSERT(static_cast<bool>(params_.work), "tier '", params_.name,
+               "' needs a work model");
     for (hw::Machine *m : hosts) {
         instances_.push_back(std::make_unique<Instance>(Instance{
             m, WorkerPool(*m, params_.workers, params_.firstCore),
@@ -439,15 +438,14 @@ Tier::dispatch(const net::Message &msgIn)
     // traffic knobs default to bit-identical behaviour.
     if (params_.admission.enabled() && shouldShed(inst, msgIn))
         return;
-    // A mutating work model (cache tier) transforms the request the
-    // handler and reply will see; msg is the post-transform message
+    // The work model may transform the request the handler and reply
+    // will see (cache tiers do); msg is the post-transform message
     // from here on. The copy is what every capture below took anyway.
     // Work draws come from the serving instance's own stream (forked
     // at construction) so replicas on different event-queue domains
     // never contend for — or reorder — one generator.
     net::Message msg = msgIn;
-    Time work = params_.workMut ? params_.workMut(msg, inst.rng)
-                                : params_.work(msg, inst.rng);
+    Time work = params_.work(msg, inst.rng);
     if (params_.envSensitive) {
         work = static_cast<Time>(graph_.envFactor() *
                                  static_cast<double>(work));
@@ -457,7 +455,7 @@ Tier::dispatch(const net::Message &msgIn)
                                  static_cast<double>(work));
     }
     // Flight recorder: open the dispatch->completion span (split into
-    // queue-wait + service at close). Keyed on the post-workMut
+    // queue-wait + service at close). Keyed on the post-work-model
     // message so completeService — which sees the same transformed
     // message — closes the exact begin. Tied twins differ in replica,
     // so their keys never collide; a twin cancelled before running
@@ -1589,31 +1587,21 @@ ServiceGraph::shardStats(int domains)
     statShards_.assign(static_cast<std::size_t>(domains), stats_);
 }
 
-std::vector<hw::Machine *>
-ServiceGraph::tierMachines()
+int
+ServiceGraph::planPartitions(int firstDomain, int maxDomains)
 {
     // Every machine hosting a tier instance, in deterministic
     // (tier, replica) first-appearance order — covers machines owned
     // by the graph and external ones (a single-tier server's host).
     std::vector<hw::Machine *> machines;
-    std::unordered_map<const hw::Machine *, std::size_t> seen;
+    std::unordered_map<const hw::Machine *, std::size_t> index;
     for (auto &t : tiers_) {
         for (int r = 0; r < t->replicaCount(); ++r) {
             hw::Machine *m = &t->machine(r);
-            if (seen.emplace(m, machines.size()).second)
+            if (index.emplace(m, machines.size()).second)
                 machines.push_back(m);
         }
     }
-    return machines;
-}
-
-int
-ServiceGraph::planPartitions(int firstDomain, int maxDomains)
-{
-    std::vector<hw::Machine *> machines = tierMachines();
-    std::unordered_map<const hw::Machine *, std::size_t> index;
-    for (std::size_t i = 0; i < machines.size(); ++i)
-        index.emplace(machines[i], i);
 
     // Union-find with path halving; machines that must share one
     // event-queue timeline are merged.
@@ -1656,14 +1644,6 @@ ServiceGraph::planPartitions(int firstDomain, int maxDomains)
             for (int r = 0; r < c.replicaCount(); ++r)
                 unite(machineIndex(p.machine(0)),
                       machineIndex(c.machine(r)));
-        }
-        // A crash detection against a child tier flips its suspicion
-        // flags from the parents' timeline (detectDomainFor): every
-        // fan-out feeding one child must share a parent domain.
-        for (auto &g : fanouts_) {
-            if (g.get() != f.get() && &g->child() == &f->child())
-                unite(machineIndex(f->parent().machine(0)),
-                      machineIndex(g->parent().machine(0)));
         }
     }
 
@@ -1751,37 +1731,6 @@ ServiceGraph::minCutFloor() const
         }
     }
     return floor;
-}
-
-int
-ServiceGraph::detectDomainFor(Tier &tier)
-{
-    for (auto &f : fanouts_) {
-        if (&f->child() == &tier)
-            return f->parent().machine(0).simDomain();
-    }
-    return tier.machine(0).simDomain();
-}
-
-int
-ServiceGraph::linkHomeDomain(std::size_t i) const
-{
-    const LinkEdge &e = edges_.at(i);
-    return e.from != nullptr ? e.from->simDomain() : 0;
-}
-
-void
-ServiceGraph::detachTicks()
-{
-    for (hw::Machine *m : tierMachines())
-        m->detachTicks();
-}
-
-void
-ServiceGraph::attachTicks()
-{
-    for (hw::Machine *m : tierMachines())
-        m->attachTicks();
 }
 
 void

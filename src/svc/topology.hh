@@ -235,17 +235,16 @@ struct TopologyShape
     std::string label() const;
 };
 
-/** Per-request nominal CPU work of a tier. */
-using TierWork = std::function<Time(const net::Message &, Rng &)>;
-
 /**
- * Per-request CPU work of a tier that also *transforms* the request:
- * the drawn message is what the completion handler (and the reply)
- * sees, so a cache tier can mark a miss in the opcode and stash the
- * hit's value size in the byte count. Mutation happens at dispatch,
- * on the worker, in deterministic event order.
+ * Per-request nominal CPU work of a tier. The model may also
+ * *transform* the request: the message it leaves is what the
+ * completion handler (and the reply) sees, so a cache tier can mark a
+ * miss in the opcode and stash the hit's value size in the byte
+ * count. Mutation happens at dispatch, on the worker, in deterministic
+ * event order. Models that only read the request take it by const
+ * reference.
  */
-using TierWorkMut = std::function<Time(net::Message &, Rng &)>;
+using TierWork = std::function<Time(net::Message &, Rng &)>;
 
 /** Per-request response wire size of a tier. */
 using TierBytes = std::function<std::uint32_t(const net::Message &, Rng &)>;
@@ -264,10 +263,8 @@ struct TierParams
     int workers = 8;
     /** First core of the pool (tiers sharing a machine partition it). */
     int firstCore = 0;
-    /** Nominal CPU work per request (required unless workMut set). */
+    /** Nominal CPU work per request (required). */
     TierWork work;
-    /** Mutating work model (cache tiers); overrides work when set. */
-    TierWorkMut workMut;
     /** Track per-shard dispatch counts in TierBreakdown::shardRequests
      *  / shardWork with this many slots (0 = no tracking). */
     int trackShards = 0;
@@ -988,12 +985,9 @@ class ServiceGraph : public net::Endpoint
      * event-queue domain, numbered from @p firstDomain. Machines that
      * must share a timeline are merged (union-find): all instances of
      * a non-partitionable tier, every fan-out's parent tier (the
-     * scatter pool and merge path live there), all parents feeding one
-     * child tier (a crash detection flips the child's suspicion flags
-     * from the parents' timeline, so multiple readers must share it),
-     * and — under the Tied policy — the fan-out's parent and child
-     * (the tie arbiter runs on child workers but mutates the
-     * parent-side context).
+     * scatter pool and merge path live there), and — under the Tied
+     * policy — the fan-out's parent and child (the tie arbiter runs on
+     * child workers but mutates the parent-side context).
      *
      * When @p maxDomains > 0 and the merged groups outnumber it, the
      * groups are packed into exactly @p maxDomains domains by
@@ -1016,18 +1010,6 @@ class ServiceGraph : public net::Endpoint
      * instantly — the graph is then not partitionable.
      */
     Time minCutFloor() const;
-
-    /**
-     * Tick-loop migration (see hw::Machine::detachTicks): detach every
-     * tier-hosting machine's pending tick events before
-     * Simulator::enablePartition() adopts the setup queue; re-home
-     * them into their machines' planned domains after. Machine order
-     * is deterministic (tier, replica) first appearance — construction
-     * order for every topology in the tree — so same-instant ticks
-     * keep their serial ordering.
-     */
-    void detachTicks();
-    void attachTicks();
 
     /**
      * Shard the service counters per event-queue domain (@p domains
@@ -1061,26 +1043,11 @@ class ServiceGraph : public net::Endpoint
     void notifyReplicaDown(Tier &tier, int replica);
 
     /**
-     * Domain that must run a failure *detection* against @p tier: the
-     * parent timeline of the fan-outs feeding it — suspicion flags and
-     * the fail-over re-issue state are read there (planPartitions
-     * unites all such parents). Falls back to the tier's own machine
-     * when nothing fans out to it (the flags then have no reader
-     * outside the tier). Meaningful after planPartitions(); 0 before.
-     */
-    int detectDomainFor(Tier &tier);
-
-    /** Domain whose timeline owns graph link @p i (its sender-side
-     *  machine; 0 when the endpoints were not declared). Link state
-     *  flips (degrade/clear) must run there. */
-    int linkHomeDomain(std::size_t i) const;
-
-    /**
      * CacheFlush fault surface: a service owning per-replica caches
      * (MemcachedCluster) registers the wipe here; flushCaches() — run
-     * by the injector in the replica machine's domain — invokes it
-     * and counts ServiceStats::cacheFlushes. Without a hook a flush
-     * only counts (nothing to wipe).
+     * by the injector — invokes it and counts
+     * ServiceStats::cacheFlushes. Without a hook a flush only counts
+     * (nothing to wipe).
      */
     using CacheFlushHook = std::function<void(Tier &, int)>;
     void setCacheFlushHook(CacheFlushHook hook);
@@ -1169,11 +1136,6 @@ class ServiceGraph : public net::Endpoint
 
     /** Own a tier over @p hosts and give it its stats breakdown. */
     Tier &adoptTier(std::vector<hw::Machine *> hosts, TierParams params);
-
-    /** Tier-hosting machines in (tier, replica) first-appearance
-     *  order — the deterministic enumeration planPartitions and the
-     *  tick migration share. */
-    std::vector<hw::Machine *> tierMachines();
 
     Simulator &sim_;
     net::Link &replyLink_;

@@ -8,8 +8,8 @@
  * counter), never by host-thread interleaving. Each scenario below
  * runs the same config serially and with a crew and compares
  * fingerprints exactly (==, no tolerance). The fallback tests pin the
- * conditions under which runOnce() refuses to partition and quietly
- * stays serial.
+ * conditions under which runOnce() refuses to partition and stays
+ * serial (fault plans, non-tickless servers, zero lookahead).
  *
  * Under ThreadSanitizer (the ci `tsan` leg runs this file via the
  * `partition` label) the stress test doubles as a race detector for
@@ -60,6 +60,7 @@ expectSameRun(const core::RunResult &a, const core::RunResult &b)
     EXPECT_EQ(a.service.requestsShedDepth, b.service.requestsShedDepth);
     EXPECT_EQ(a.service.requestsShedDelay, b.service.requestsShedDelay);
     EXPECT_EQ(a.service.requestsLost, b.service.requestsLost);
+    EXPECT_EQ(a.service.subRequestsDropped, b.service.subRequestsDropped);
     EXPECT_EQ(a.service.faultsInjected, b.service.faultsInjected);
     EXPECT_EQ(a.service.requestsFailedOver, b.service.requestsFailedOver);
     EXPECT_EQ(a.service.pauseTime, b.service.pauseTime);
@@ -169,96 +170,32 @@ TEST(IntraRunParallel, MatchesSerialOnTheSocialNetworkChain)
     expectSameRun(serial, par);
 }
 
-TEST(IntraRunParallel, MatchesSerialOnTheFaultyGrid)
+TEST(IntraRunParallel, FaultPlansAndTickingServersFallBackToSerial)
 {
-    // The PR-8 engine refused any fault plan; the domain-aware
-    // injector homes every state flip in the domain owning the
-    // touched state, so faulty runs now partition — and must stay
-    // bit-identical through the crash, the detection, the failover
-    // re-issues and the restart.
-    auto cfg = hdsearchCfg();
+    // A fault plan keeps the serial engine: deadline retries plus a
+    // detected bucket kill exercise failover re-issues and absorbed
+    // drops, and the crew-sized run must be the serial run exactly.
+    auto cfg = core::ExperimentConfig::forHdSearch(20000);
+    cfg.gen.warmup = msec(2);
+    cfg.gen.duration = msec(12);
+    svc::TopologyShape shape{4, 2, usec(300)};
+    shape.traffic.retry.deadline = msec(2);
+    core::applyTopology(cfg, shape);
     cfg.faultPlan = fault::FaultPlan::replicaKill(
         "hds-bucket", 0, msec(4), msec(4), usec(500));
     const core::RunResult serial = core::runOnce(cfg);
     EXPECT_GT(serial.service.faultsInjected, 0u);
     cfg.intraThreads = 4;
     const core::RunResult par = core::runOnce(cfg);
-    EXPECT_GT(par.intraDomains, 1);
+    EXPECT_EQ(par.intraDomains, 1);
     expectSameRun(serial, par);
-}
 
-TEST(IntraRunParallel, MatchesSerialUnderACompoundFaultPlan)
-{
-    // Every injector path at once: a detected kill, a slowdown
-    // overlapping it on the sibling replica, and a stop-the-world
-    // pause on the mid tier — windows overlapping so the offline
-    // engage replay (not just single-window scheduling) is what has
-    // to agree with the serial engine.
-    auto cfg = hdsearchCfg();
-    fault::FaultPlan plan = fault::FaultPlan::replicaKill(
-        "hds-bucket", 0, msec(4), msec(3), usec(500));
-    plan.add(fault::FaultPlan::replicaSlowdown("hds-bucket", 1, 8.0,
-                                               msec(5), msec(3))
-                 .faults[0]);
-    plan.add(
-        fault::FaultPlan::pause("hds-midtier", 0, msec(6), msec(1))
-            .faults[0]);
-    cfg.faultPlan = plan;
-    const core::RunResult serial = core::runOnce(cfg);
-    EXPECT_GT(serial.service.pauseTime, 0);
-    cfg.intraThreads = 4;
-    const core::RunResult par = core::runOnce(cfg);
-    EXPECT_GT(par.intraDomains, 1);
-    expectSameRun(serial, par);
-}
-
-TEST(IntraRunParallel, MatchesSerialUnderAStochasticFaultProcess)
-{
-    // mttf/mttr windows draw from the run seed during arm(): the
-    // materialised timeline must come out identical on either engine.
-    auto cfg = hdsearchCfg();
-    cfg.faultPlan =
-        fault::FaultPlan::flaky("hds-bucket", 0, msec(4), msec(2));
-    const core::RunResult serial = core::runOnce(cfg);
-    cfg.intraThreads = 4;
-    const core::RunResult par = core::runOnce(cfg);
-    EXPECT_GT(par.intraDomains, 1);
-    expectSameRun(serial, par);
-}
-
-TEST(IntraRunParallel, MatchesSerialWithPeriodicServerTicks)
-{
-    // Non-tickless servers arm their tick loops at construction,
-    // before the partition exists; re-homing them into their
-    // machines' domains must keep every tick at its serial instant.
-    auto cfg = hdsearchCfg();
-    cfg.server.tickless = false;
-    const core::RunResult serial = core::runOnce(cfg);
-    cfg.intraThreads = 4;
-    const core::RunResult par = core::runOnce(cfg);
-    EXPECT_GT(par.intraDomains, 1);
-    expectSameRun(serial, par);
-}
-
-TEST(IntraRunParallel, MatchesSerialUnderACacheFlushFault)
-{
-    // The flush × cached-cluster compound: a mid-run wipe of every
-    // replica's caches turns into a burst of refill misses that must
-    // land identically on both engines.
-    auto cfg = core::ExperimentConfig::forMemcached(40000);
-    cfg.gen.warmup = msec(2);
-    cfg.gen.duration = msec(12);
-    svc::TopologyShape shape{4, 2, 0};
-    shape.cache.keys = 4096;
-    shape.cache.capacityEntries = 256;
-    core::applyTopology(cfg, shape);
-    cfg.faultPlan = fault::FaultPlan::cacheFlush("mc-cache", -1, msec(6));
-    const core::RunResult serial = core::runOnce(cfg);
-    EXPECT_GT(serial.service.cacheFlushes, 0u);
-    cfg.intraThreads = 4;
-    const core::RunResult par = core::runOnce(cfg);
-    EXPECT_GT(par.intraDomains, 1);
-    expectSameRun(serial, par);
+    // Non-tickless servers arm their tick loops at construction, on
+    // the setup queue: those runs stay serial too.
+    auto ticking = hdsearchCfg();
+    ticking.server.tickless = false;
+    ticking.intraThreads = 4;
+    EXPECT_EQ(core::runOnce(ticking).intraDomains, 1);
 }
 
 TEST(IntraRunParallel, ZeroLookaheadFallsBackToSerial)
